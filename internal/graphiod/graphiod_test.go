@@ -235,6 +235,53 @@ func TestSubmitCompleteAndCacheHit(t *testing.T) {
 	}
 }
 
+// Submissions racing running workers: the submit handler must answer from
+// a snapshot taken under the store lock, not by reading a job a worker may
+// already be moving to running. Run under -race, the old handler reported
+// a data race between the response's job.info() and store.next.
+func TestConcurrentSubmitsWhileWorkersRun(t *testing.T) {
+	srv, url := newTestServer(t, Config{Workers: 2, ClientInFlight: 64})
+	const perClient = 40
+	ids := make([][]string, 2)
+	var wg sync.WaitGroup
+	for c := range ids {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				req := JobRequest{Spec: fmt.Sprintf("chain:%d", 4+i%5), M: 1 + c*perClient + i,
+					MaxK: 4, Solver: "dense", Client: fmt.Sprintf("client-%d", c)}
+				raw, err := json.Marshal(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var sr SubmitResponse
+				err = json.NewDecoder(resp.Body).Decode(&sr)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted || sr.ID == "" {
+					t.Errorf("client %d submit %d: status %d, id %q, err %v", c, i, resp.StatusCode, sr.ID, err)
+					return
+				}
+				ids[c] = append(ids[c], sr.ID)
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, list := range ids {
+		for _, id := range list {
+			if info := waitState(t, srv, id, StateDone, StateFailed); info.Status != StateDone {
+				t.Errorf("job %s finished as %+v, want done", id, info)
+			}
+		}
+	}
+}
+
 // Semantically identical uploads (differing only in JSON whitespace) must
 // canonicalize to the same content address and thus the same cache key.
 func TestUploadCanonicalization(t *testing.T) {
@@ -695,7 +742,7 @@ func TestWALCompactionBoundsJournalAndJobTable(t *testing.T) {
 	artifact := []byte(`{"fake":"artifact"}`)
 	var lastID string
 	for i := 0; i < 50; i++ {
-		j, err := s.accept(spec, 0, "c", "h", time.Second, freshLimits())
+		j, _, err := s.accept(spec, 0, "c", "h", time.Second, freshLimits())
 		if err != nil {
 			t.Fatalf("accept %d: %v", i, err)
 		}
@@ -743,7 +790,7 @@ func TestWALCompactionBoundsJournalAndJobTable(t *testing.T) {
 	if sha, ok := s2.cachedSHA(spec.Key()); !ok || sha != wantSHA {
 		t.Fatalf("reopened cache = %q, %v; want %q", sha, ok, wantSHA)
 	}
-	j, err := s2.accept(spec, 0, "c", "h", time.Second, freshLimits())
+	j, _, err := s2.accept(spec, 0, "c", "h", time.Second, freshLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +819,7 @@ func TestAdmissionAtomicUnderConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			spec := jobSpec{V: 1, Spec: fmt.Sprintf("chain:%d", i+2), M: 2, MaxK: 1, Solver: "dense"}
-			if _, err := s.accept(spec, 0, "c", "h", time.Second, lim); err == nil {
+			if _, _, err := s.accept(spec, 0, "c", "h", time.Second, lim); err == nil {
 				admitted.Add(1)
 			} else {
 				rejected.Add(1)

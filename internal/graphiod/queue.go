@@ -317,8 +317,11 @@ func (s *store) admitLocked(client, host string, lim admitLimits) error {
 // collectively overshoot the caps. When the result cache already holds the
 // key, the job is journaled as accept+done and returned already terminal —
 // the caller serves it immediately, no worker ever sees it, and the caps
-// are not charged (a cache hit consumes no queue or solver capacity).
-func (s *store) accept(spec jobSpec, priority int, client, host string, timeout time.Duration, lim admitLimits) (*job, error) {
+// are not charged (a cache hit consumes no queue or solver capacity). The
+// returned JobInfo is a snapshot taken under the lock: once accept returns
+// a worker may already be running the job, so the caller must not read
+// the job's mutable fields itself.
+func (s *store) accept(spec jobSpec, priority int, client, host string, timeout time.Duration, lim admitLimits) (*job, JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := &job{
@@ -336,7 +339,7 @@ func (s *store) accept(spec jobSpec, priority int, client, host string, timeout 
 	j.Cached = hit
 	if !hit {
 		if err := s.admitLocked(client, host, lim); err != nil {
-			return nil, err
+			return nil, JobInfo{}, err
 		}
 	}
 	rec := walRecord{
@@ -346,11 +349,11 @@ func (s *store) accept(spec jobSpec, priority int, client, host string, timeout 
 	}
 	//lint:ignore lock-blocking append-before-effect: admission, the accept record, and the table/queue insert must be one atomic section under s.mu or racing submissions overshoot the caps
 	if err := s.append(rec); err != nil {
-		return nil, err
+		return nil, JobInfo{}, err
 	}
 	if hit {
 		if err := s.append(walRecord{Kind: "done", ID: j.ID, SHA: cachedSHA}); err != nil {
-			return nil, err
+			return nil, JobInfo{}, err
 		}
 		j.State = StateDone
 		j.ArtifactSHA = cachedSHA
@@ -363,7 +366,7 @@ func (s *store) accept(spec jobSpec, priority int, client, host string, timeout 
 	}
 	s.pruneLocked()
 	s.maybeCompactLocked()
-	return j, nil
+	return j, j.info(), nil
 }
 
 // next pops the highest-priority queued job and marks it running. Running

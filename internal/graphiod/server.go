@@ -421,7 +421,7 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// the accept share one lock acquisition, so concurrent submissions
 	// cannot collectively overshoot them.
 	srv.shedUnderPressure()
-	j, err := srv.store.accept(*spec, req.Priority, client, host, timeout, admitLimits{
+	_, info, err := srv.store.accept(*spec, req.Priority, client, host, timeout, admitLimits{
 		ClientInFlight: srv.cfg.ClientInFlight,
 		HostInFlight:   srv.cfg.HostInFlight,
 		QueueCap:       srv.cfg.QueueCap,
@@ -437,12 +437,12 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	srv.scope.Inc("serve.jobs.accepted")
 	srv.scope.SetGauge("serve.queue_depth", float64(srv.store.depth()))
-	resp := SubmitResponse{JobInfo: j.info()}
+	resp := SubmitResponse{JobInfo: info}
 	status := http.StatusAccepted
-	if j.Cached {
+	if info.Cached {
 		srv.scope.Inc("serve.cache_hits")
 		status = http.StatusOK
-		if data, err := srv.store.readArtifact(j.Key); err == nil {
+		if data, err := srv.store.readArtifact(info.Key); err == nil {
 			resp.Result = data
 		}
 	} else {

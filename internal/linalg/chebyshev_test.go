@@ -1,8 +1,11 @@
 package linalg
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -131,6 +134,52 @@ func TestChebFullSpectrumAndOversizedH(t *testing.T) {
 	}
 }
 
+// A block as wide as the matrix, over several Gram–Schmidt panels: the
+// filtered block is numerically rank deficient, and the later panels must
+// still come out orthogonal to the earlier ones.
+func TestChebFullBlockAcrossPanels(t *testing.T) {
+	m := butterflyCSR(4)
+	want, err := SymEigValues(m.ToDense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.GershgorinUpper()
+	got, err := ChebFilteredSmallest(m, c, m.N, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(got, want); d > 1e-8*c {
+		t.Errorf("full-block spectrum off by %g", d)
+	}
+}
+
+// An explicit block no wider than h leaves no Ritz value above position h
+// to place the cut in, and a narrower one cannot hold h Ritz pairs; both
+// used to index past the end of the block.
+func TestChebBlockNoWiderThanH(t *testing.T) {
+	m := pathCSR(6)
+	want := pathEigenvalues(6)
+	for h := 1; h <= 3; h++ {
+		got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), h, &ChebOptions{Block: max(h-1, 1)})
+		if err == nil && len(got) != h {
+			t.Fatalf("h=%d, Block=%d: %d eigenvalues", h, max(h-1, 1), len(got))
+		}
+		got, err = ChebFilteredSmallest(m, m.GershgorinUpper(), h, &ChebOptions{Block: h})
+		if err != nil {
+			var nc *NotConvergedError
+			if !errors.As(err, &nc) {
+				t.Fatalf("h=%d: %v", h, err)
+			}
+			continue
+		}
+		for i := range got {
+			if got[i] > want[i]+1e-6 {
+				t.Errorf("h=%d: λ%d = %g overestimates %g", h, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestChebValidation(t *testing.T) {
 	m := pathCSR(4)
 	if _, err := ChebFilteredSmallest(m, 4, 0, nil); err == nil {
@@ -165,23 +214,7 @@ func TestChebSoundPaddingOnSweepExhaustion(t *testing.T) {
 func TestChebAgreesWithLanczosMediumGraph(t *testing.T) {
 	// A 2-D torus-ish Laplacian: moderate size, no closed form needed —
 	// the two iterative solvers must agree with each other.
-	side := 18
-	n := side * side
-	var tr []Triplet
-	addEdge := func(u, v int) {
-		tr = append(tr, Triplet{u, u, 1}, Triplet{v, v, 1}, Triplet{u, v, -1}, Triplet{v, u, -1})
-	}
-	id := func(i, j int) int { return ((i+side)%side)*side + (j+side)%side }
-	for i := 0; i < side; i++ {
-		for j := 0; j < side; j++ {
-			addEdge(id(i, j), id(i+1, j))
-			addEdge(id(i, j), id(i, j+1))
-		}
-	}
-	m, err := NewCSRFromTriplets(n, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := torusCSR(18)
 	h := 20
 	c := m.GershgorinUpper()
 	a, err := ChebFilteredSmallest(m, c, h, nil)
@@ -194,5 +227,148 @@ func TestChebAgreesWithLanczosMediumGraph(t *testing.T) {
 	}
 	if d := maxAbsDiff(a, b); d > 1e-6 {
 		t.Errorf("Chebyshev vs Lanczos differ by %g\n%v\n%v", d, a, b)
+	}
+}
+
+// torusCSR is the Laplacian of the side×side torus grid.
+func torusCSR(side int) *CSR {
+	var tr []Triplet
+	edge := func(u, v int) {
+		tr = append(tr, Triplet{u, u, 1}, Triplet{v, v, 1}, Triplet{u, v, -1}, Triplet{v, u, -1})
+	}
+	id := func(i, j int) int { return ((i+side)%side)*side + (j+side)%side }
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			edge(id(i, j), id(i+1, j))
+			edge(id(i, j), id(i, j+1))
+		}
+	}
+	m, err := NewCSRFromTriplets(side*side, tr)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// butterflyCSR is the Laplacian of the l-level FFT butterfly: (l+1)·2^l
+// vertices whose spectrum has multiplicities large enough to make a
+// narrow Chebyshev block grow.
+func butterflyCSR(l int) *CSR {
+	w := 1 << l
+	var tr []Triplet
+	edge := func(u, v int) {
+		tr = append(tr, Triplet{u, u, 1}, Triplet{v, v, 1}, Triplet{u, v, -1}, Triplet{v, u, -1})
+	}
+	for lv := 0; lv < l; lv++ {
+		for i := 0; i < w; i++ {
+			edge(lv*w+i, (lv+1)*w+i)
+			edge(lv*w+i, (lv+1)*w+(i^(1<<lv)))
+		}
+	}
+	m, err := NewCSRFromTriplets((l+1)*w, tr)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// matVecOnly hides every method but the Operator interface, so the solver
+// takes its column-by-column MatVec adapter.
+type matVecOnly struct{ A Operator }
+
+func (w matVecOnly) Dim() int                  { return w.A.Dim() }
+func (w matVecOnly) MatVec(dst, src []float64) { w.A.MatVec(dst, src) }
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// chebCase is one Chebyshev solve of the determinism tests.
+type chebCase struct {
+	name string
+	m    *CSR
+	h    int
+	opt  *ChebOptions
+}
+
+// determinismCases are solves whose eigenvalues must not depend on how the
+// operator is wrapped or how many cores run the solve: a torus with two
+// Gram–Schmidt panels, and a butterfly whose eigenvalue clusters make a
+// deliberately narrow block grow.
+func determinismCases() []chebCase {
+	return []chebCase{
+		{"torus12", torusCSR(12), 20, nil},
+		{"butterfly4", butterflyCSR(4), 20, &ChebOptions{Block: 22}},
+	}
+}
+
+func TestChebDeterminismAcrossOperatorWrappers(t *testing.T) {
+	for _, tc := range determinismCases() {
+		c := tc.m.GershgorinUpper()
+		want, err := ChebFilteredSmallest(tc.m, c, tc.h, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, op := range []struct {
+			name string
+			A    Operator
+		}{
+			{"matvec-only", matVecOnly{tc.m}},
+			{"counting", &CountingOperator{A: tc.m}},
+			{"counting(matvec-only)", &CountingOperator{A: matVecOnly{tc.m}}},
+		} {
+			got, err := ChebFilteredSmallest(op.A, c, tc.h, tc.opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, op.name, err)
+			}
+			if !bitsEqual(got, want) {
+				t.Errorf("%s: %s eigenvalues differ from the raw CSR's\n got %v\nwant %v", tc.name, op.name, got, want)
+			}
+		}
+	}
+}
+
+func TestChebDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range determinismCases() {
+		c := tc.m.GershgorinUpper()
+		var want []float64
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := ChebFilteredSmallest(tc.m, c, tc.h, tc.opt)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
+			}
+			if want == nil {
+				want = got
+			} else if !bitsEqual(got, want) {
+				t.Errorf("%s: GOMAXPROCS=%d eigenvalues differ from GOMAXPROCS=1\n got %v\nwant %v", tc.name, procs, got, want)
+			}
+		}
+	}
+}
+
+// CountingOperator counts b column products per block product, whichever
+// path serves it.
+func TestCountingOperatorCountsBlockColumns(t *testing.T) {
+	m := pathCSR(50)
+	tm := newTeam()
+	defer tm.stop()
+	src, dst := make([]float64, 50*7), make([]float64, 50*7)
+	for _, inner := range []Operator{m, matVecOnly{m}} {
+		cnt := &CountingOperator{A: inner}
+		tm.mulBlock(context.Background(), cnt, dst, src, 7, nil)
+		cnt.MatVec(dst[:50], src[:50])
+		if got := cnt.Count(); got != 8 {
+			t.Errorf("%T: Count = %d, want 8 (7 block columns + 1 MatVec)", inner, got)
+		}
 	}
 }

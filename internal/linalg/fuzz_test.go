@@ -4,12 +4,13 @@ package linalg_test
 // non-finite) tridiagonal input must never panic, and every successful
 // return must be the requested number of finite eigenvalues. Non-finite
 // input is rejected as a typed *NonFiniteError rather than corrupting the
-// Sturm counts silently.
+// Sturm counts silently. The CSR block product is fuzzed against MatVec.
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"graphio/internal/linalg"
@@ -66,4 +67,58 @@ func FuzzTridiagEigBisect(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCSRMulBlock checks the block product's contract on random CSR
+// matrices — empty rows, duplicate triplets, n up to 64, b up to 40: column
+// j of MulBlock must be bitwise equal to MatVec on column j.
+func FuzzCSRMulBlock(f *testing.F) {
+	f.Add(int64(1), uint8(9), uint8(5), uint8(30))
+	f.Add(int64(7), uint8(63), uint8(39), uint8(255))
+	f.Add(int64(3), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n8, b8, fill uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n, b := 1+int(n8)%64, 1+int(b8)%40
+		m := randomCSR(t, rng, n, int(fill)%(4*n+1))
+		src := make([]float64, n*b)
+		for i := range src {
+			// Mixed magnitudes make every sum round, so a change in
+			// summation order would show.
+			src[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))
+		}
+		dst := make([]float64, n*b)
+		m.MulBlock(dst, src, b)
+		x, y := make([]float64, n), make([]float64, n)
+		for j := 0; j < b; j++ {
+			for i := range x {
+				x[i] = src[i*b+j]
+			}
+			m.MatVec(y, x)
+			for i, v := range y {
+				if math.Float64bits(dst[i*b+j]) != math.Float64bits(v) {
+					t.Fatalf("n=%d b=%d: entry (%d,%d) = %v, MatVec gives %v", n, b, i, j, dst[i*b+j], v)
+				}
+			}
+		}
+	})
+}
+
+// randomCSR assembles an n×n matrix from count random triplets, a quarter
+// of them repeating the previous position so duplicates get merged; with
+// few triplets many rows stay empty.
+func randomCSR(t *testing.T, rng *rand.Rand, n, count int) *linalg.CSR {
+	t.Helper()
+	tr := make([]linalg.Triplet, 0, count)
+	for k := 0; k < count; k++ {
+		e := linalg.Triplet{Row: rng.Intn(n), Col: rng.Intn(n), Val: rng.NormFloat64()}
+		if k > 0 && rng.Intn(4) == 0 {
+			e.Row, e.Col = tr[k-1].Row, tr[k-1].Col
+		}
+		tr = append(tr, e)
+	}
+	m, err := linalg.NewCSRFromTriplets(n, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -274,5 +275,58 @@ func TestSolverErrorsOnBadH(t *testing.T) {
 	}
 	if _, err := PowerSmallestPSD(m, 4, -1, nil); err == nil {
 		t.Error("power accepted h=-1")
+	}
+}
+
+// The block product, serial or split across a team with a fused finish,
+// is bitwise MatVec column by column, and the finish sees every row
+// exactly once, through the block path and the MatVec adapter alike.
+func TestCSRMulBlockMatchesMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	tm := newTeam()
+	defer tm.stop()
+	for trial := 0; trial < 20; trial++ {
+		n, b := 1+rng.Intn(300), 1+rng.Intn(40)
+		var tr []Triplet
+		for k := rng.Intn(5 * n); k > 0; k-- {
+			tr = append(tr, Triplet{rng.Intn(n), rng.Intn(n), rng.NormFloat64()})
+		}
+		m, err := NewCSRFromTriplets(n, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]float64, n*b)
+		for i := range src {
+			src[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))
+		}
+		serial, split, adapted := make([]float64, n*b), make([]float64, n*b), make([]float64, n*b)
+		m.MulBlock(serial, src, b)
+		seen := make([]int, n)
+		count := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		}
+		m.mulBlock(context.Background(), tm, split, src, b, count)
+		tm.mulBlock(context.Background(), matVecOnly{m}, adapted, src, b, count)
+		x, y := make([]float64, n), make([]float64, n)
+		for j := 0; j < b; j++ {
+			for i := range x {
+				x[i] = src[i*b+j]
+			}
+			m.MatVec(y, x)
+			for i, v := range y {
+				for _, got := range [][]float64{serial, split, adapted} {
+					if math.Float64bits(got[i*b+j]) != math.Float64bits(v) {
+						t.Fatalf("trial %d (n=%d b=%d): entry (%d,%d) = %v, MatVec gives %v", trial, n, b, i, j, got[i*b+j], v)
+					}
+				}
+			}
+		}
+		for i, c := range seen {
+			if c != 2 {
+				t.Fatalf("trial %d: row %d finished %d times over two products, want 2", trial, i, c)
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (no deps).
 
-.PHONY: build test test-race vet vet-strict lint lint-sarif lint-fixtures bench bench-json bench-check bench-history cover experiments experiments-quick verify-resume verify-dist verify-graphiod examples fmt
+.PHONY: build test test-race vet vet-strict lint lint-sarif lint-fixtures bench bench-json bench-check bench-history cover experiments experiments-quick verify-resume verify-dist verify-graphiod verify-identical examples fmt
 
 build:
 	go build ./...
@@ -90,6 +90,14 @@ verify-dist:
 # must fail typed while siblings complete, and SIGTERM must drain cleanly.
 verify-graphiod:
 	sh scripts/verify_graphiod.sh
+
+# Cross-commit output gate: build cmd/experiments and cmd/graphiod at BASE
+# and from the working tree; a quick sweep's report.txt and CSVs (fig11's
+# wall-clock columns masked) and two daemon artifacts must be identical.
+# `make verify-identical BASE=origin/main`; BASE defaults to HEAD.
+BASE ?= HEAD
+verify-identical:
+	sh scripts/verify_identical.sh $(BASE)
 
 examples:
 	go run ./examples/quickstart

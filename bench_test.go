@@ -140,18 +140,6 @@ func BenchmarkSolverDenseBHK8(b *testing.B) {
 func BenchmarkSolverLanczosBHK8(b *testing.B) {
 	benchSpectral(b, gen.BellmanHeldKarp(8), 16, core.SolverLanczos)
 }
-func BenchmarkSolverPowerBHK8(b *testing.B) {
-	// Deflated power iteration converges linearly in the eigenvalue gap
-	// ratio; h = 20 is its realistic operating range (the other solvers
-	// run the full h = 100 default).
-	g := gen.BellmanHeldKarp(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SpectralBound(g, core.Options{M: 16, MaxK: 20, Solver: core.SolverPower}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 func BenchmarkSolverChebyshevBHK8(b *testing.B) {
 	benchSpectral(b, gen.BellmanHeldKarp(8), 16, core.SolverChebyshev)
 }

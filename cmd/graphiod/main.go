@@ -195,7 +195,7 @@ func cmdSubmit(args []string) int {
 	graphFile := fs.String("graph", "", "upload this graph JSON file instead of a spec")
 	m := fs.Int("m", 0, "fast-memory size (required)")
 	maxK := fs.Int("max-k", 0, "eigenvalue budget h (daemon default if 0)")
-	solver := fs.String("solver", "", "eigensolver: auto|dense|lanczos|power|chebyshev")
+	solver := fs.String("solver", "", "eigensolver: auto|dense|lanczos|chebyshev")
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
 	client := fs.String("client", "", "client name for per-client limits (default: remote address)")
 	timeoutMS := fs.Int64("timeout-ms", 0, "per-job deadline in ms (daemon default if 0)")

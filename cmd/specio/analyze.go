@@ -42,19 +42,19 @@ func cmdAnalyze(args []string) (err error) {
 		return fmt.Errorf("max in-degree %d exceeds M=%d: no evaluation order is feasible", g.MaxInDeg(), *M)
 	}
 
-	t4, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M, MaxK: *maxK})
+	s4, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: *maxK})
 	if err != nil {
 		return err
 	}
-	t5, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M, MaxK: *maxK, Laplacian: laplacian.Original})
+	s5, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: *maxK, Laplacian: laplacian.Original})
 	if err != nil {
 		return err
 	}
+	t4, t5 := s4.At(ctx, *M, 1), s5.At(ctx, *M, 1)
 	fmt.Printf("spectral     Theorem 4: %.2f (k=%d)   Theorem 5: %.2f (k=%d)   [solver %v, h=%d]\n",
 		t4.Bound, t4.BestK, t5.Bound, t5.BestK, t4.SolverUsed, len(t4.Eigenvalues))
 	for _, p := range []int{2, 4} {
-		b, _, _ := core.BoundFromEigenvalues(t4.Eigenvalues, g.N(), *M, p, 1)
-		fmt.Printf("parallel     p=%d (Theorem 6): %.2f\n", p, b)
+		fmt.Printf("parallel     p=%d (Theorem 6): %.2f\n", p, s4.At(ctx, *M, p).Bound)
 	}
 
 	mc, err := mincut.ConvexMinCutBoundContext(ctx, g, mincut.Options{M: *M, Timeout: *mcTimeout})

@@ -65,7 +65,7 @@ func cmdHier(args []string) (err error) {
 		}
 		caps = append(caps, v)
 	}
-	floors, err := hier.Bounds(g, caps, core.Options{})
+	floors, err := hier.Bounds(ofl.Context(), g, caps, core.Options{})
 	if err != nil {
 		return err
 	}

@@ -200,23 +200,6 @@ func parseKind(s string) (laplacian.Kind, error) {
 	}
 }
 
-func parseSolver(s string) (core.Solver, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return core.SolverAuto, nil
-	case "dense":
-		return core.SolverDense, nil
-	case "lanczos":
-		return core.SolverLanczos, nil
-	case "power":
-		return core.SolverPower, nil
-	case "chebyshev", "cheb":
-		return core.SolverChebyshev, nil
-	default:
-		return 0, fmt.Errorf("unknown solver %q (want auto|dense|lanczos|power|chebyshev)", s)
-	}
-}
-
 func cmdBound(args []string) (err error) {
 	fs := flag.NewFlagSet("bound", flag.ExitOnError)
 	load := graphFlags(fs)
@@ -224,7 +207,7 @@ func cmdBound(args []string) (err error) {
 	maxK := fs.Int("k", 100, "number of eigenvalues / top of the k sweep (h)")
 	lap := fs.String("laplacian", "normalized", "normalized (Theorem 4) or original (Theorem 5)")
 	procs := fs.Int("p", 1, "processors (Theorem 6 when > 1)")
-	solver := fs.String("solver", "auto", "eigensolver: auto|dense|lanczos|power")
+	solver := fs.String("solver", "auto", "eigensolver: auto|dense|lanczos|chebyshev")
 	ofl := obs.AddFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error
 	if err := ofl.Begin(); err != nil {
@@ -239,7 +222,7 @@ func cmdBound(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	sol, err := parseSolver(*solver)
+	sol, err := core.ParseSolver(*solver)
 	if err != nil {
 		return err
 	}
@@ -281,7 +264,7 @@ func cmdSpectrum(args []string) (err error) {
 	load := graphFlags(fs)
 	maxK := fs.Int("k", 20, "how many of the smallest eigenvalues to print")
 	lap := fs.String("laplacian", "normalized", "normalized or original")
-	solver := fs.String("solver", "auto", "auto|dense|lanczos|power")
+	solver := fs.String("solver", "auto", "auto|dense|lanczos|chebyshev")
 	ofl := obs.AddFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse cannot return an error
 	if err := ofl.Begin(); err != nil {
@@ -296,15 +279,15 @@ func cmdSpectrum(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	sol, err := parseSolver(*solver)
+	sol, err := core.ParseSolver(*solver)
 	if err != nil {
 		return err
 	}
-	res, err := core.SpectralBoundContext(ofl.Context(), g, core.Options{M: 1, MaxK: *maxK, Laplacian: kind, Solver: sol})
+	s, err := core.SolveSpectrum(ofl.Context(), g, core.Options{MaxK: *maxK, Laplacian: kind, Solver: sol})
 	if err != nil {
 		return err
 	}
-	for i, v := range res.Eigenvalues {
+	for i, v := range s.Eigenvalues {
 		fmt.Printf("lambda_%d = %.8f\n", i+1, v)
 	}
 	return nil

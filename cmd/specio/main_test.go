@@ -4,7 +4,6 @@ import (
 	"flag"
 	"testing"
 
-	"graphio/internal/core"
 	"graphio/internal/laplacian"
 )
 
@@ -24,22 +23,6 @@ func TestParseKind(t *testing.T) {
 	}
 	if _, err := parseKind("bogus"); err == nil {
 		t.Error("bogus kind accepted")
-	}
-}
-
-func TestParseSolver(t *testing.T) {
-	cases := map[string]core.Solver{
-		"auto": core.SolverAuto, "dense": core.SolverDense,
-		"Lanczos": core.SolverLanczos, "POWER": core.SolverPower,
-	}
-	for in, want := range cases {
-		got, err := parseSolver(in)
-		if err != nil || got != want {
-			t.Errorf("parseSolver(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseSolver("qr"); err == nil {
-		t.Error("bogus solver accepted")
 	}
 }
 

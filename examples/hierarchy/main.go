@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -27,7 +28,7 @@ func main() {
 	fmt.Printf("%s: %d vertices on a %d/%d/%d hierarchy (infinite memory below)\n",
 		g.Name(), g.N(), caps[0], caps[1], caps[2])
 
-	floors, err := hier.Bounds(g, caps, core.Options{})
+	floors, err := hier.Bounds(context.Background(), g, caps, core.Options{})
 	exutil.Check(err, "per-boundary Theorem 4 floors")
 
 	for name, order := range map[string][]int{

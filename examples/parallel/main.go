@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -22,6 +23,7 @@ func main() {
 	M := flag.Int("M", 8, "per-processor fast memory")
 	flag.Parse()
 
+	ctx := context.Background()
 	procs := []int{1, 2, 4, 8, 16, 32}
 	for _, g := range []*graph.Graph{gen.FFT(9), gen.BellmanHeldKarp(11)} {
 		m := *M
@@ -30,13 +32,13 @@ func main() {
 		}
 		// One eigensolve serves the whole sweep: Theorem 6 only changes
 		// the ⌊n/(kp)⌋ factor in front of the cached spectrum.
-		res, err := core.SpectralBound(g, core.Options{M: m})
+		s, err := core.SolveSpectrum(ctx, g, core.Options{})
 		exutil.Check(err, fmt.Sprintf("spectral bound for %s", g.Name()))
 		fmt.Printf("%s (n=%d, M=%d per processor)\n", g.Name(), g.N(), m)
 		fmt.Printf("  %6s %14s %8s\n", "p", "busiest-proc", "best k")
 		for _, p := range procs {
-			bound, bestK, _ := core.BoundFromEigenvalues(res.Eigenvalues, g.N(), m, p, 1)
-			fmt.Printf("  %6d %14.2f %8d\n", p, bound, bestK)
+			res := s.At(ctx, m, p)
+			fmt.Printf("  %6d %14.2f %8d\n", p, res.Bound, res.BestK)
 		}
 		fmt.Println()
 	}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"graphio/internal/graph"
@@ -29,7 +30,9 @@ import (
 	"graphio/internal/obs"
 )
 
-// Solver selects the eigenvalue backend.
+// Solver selects the eigenvalue backend. The numeric values are stable:
+// experiments.Config.Hash hashes int(Solver), so a removed solver leaves
+// its value unused rather than renumbering the rest.
 type Solver int
 
 const (
@@ -41,9 +44,7 @@ const (
 	// SolverLanczos computes the h smallest eigenvalues with deflated,
 	// fully reorthogonalized Lanczos — the paper's "Lanczos-Arnoldi" path.
 	SolverLanczos
-	// SolverPower computes the h smallest eigenvalues with deflated power
-	// iteration — the paper's "computable by power iteration" remark.
-	SolverPower
+	_ // unused: the values after it must not shift
 	// SolverChebyshev computes the h smallest eigenvalues with
 	// Chebyshev-filtered subspace iteration — a block method that handles
 	// the clustered, high-multiplicity spectra of structured computation
@@ -53,6 +54,9 @@ const (
 	SolverChebyshev
 )
 
+// solvers lists every valid Solver, in numeric order.
+var solvers = []Solver{SolverAuto, SolverDense, SolverLanczos, SolverChebyshev}
+
 func (s Solver) String() string {
 	switch s {
 	case SolverAuto:
@@ -61,13 +65,26 @@ func (s Solver) String() string {
 		return "dense"
 	case SolverLanczos:
 		return "lanczos"
-	case SolverPower:
-		return "power"
 	case SolverChebyshev:
 		return "chebyshev"
 	default:
 		return fmt.Sprintf("Solver(%d)", int(s))
 	}
+}
+
+// ParseSolver maps a name as Solver.String prints it back to the Solver,
+// ignoring case and surrounding space. The empty string means SolverAuto.
+func ParseSolver(name string) (Solver, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	if key == "" {
+		return SolverAuto, nil
+	}
+	for _, s := range solvers {
+		if s.String() == key {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown solver %q (want auto, dense, lanczos or chebyshev)", name)
 }
 
 // NonFiniteError reports NaN or ±Inf contamination detected at a core phase
@@ -82,9 +99,10 @@ func (e *NonFiniteError) Error() string {
 	return fmt.Sprintf("core: non-finite value detected at %s", e.Where)
 }
 
-// Options configures SpectralBound.
+// Options configures SolveSpectrum and SpectralBound.
 type Options struct {
-	// M is the fast-memory size in elements. Required, ≥ 1.
+	// M is the fast-memory size in elements. SpectralBound requires
+	// M ≥ 1; SolveSpectrum ignores it.
 	M int
 	// MaxK is h, the number of smallest eigenvalues computed and the upper
 	// end of the k sweep. Default 100 (paper §6.1).
@@ -93,6 +111,7 @@ type Options struct {
 	// Theorem 5 (Original, dividing by the maximum out-degree).
 	Laplacian laplacian.Kind
 	// Processors is p in Theorem 6. Default 1 (serial bound).
+	// SolveSpectrum ignores it.
 	Processors int
 	// Solver selects the eigenvalue backend. Default SolverAuto.
 	Solver Solver
@@ -101,8 +120,6 @@ type Options struct {
 	DenseCutoff int
 	// Lanczos overrides the Lanczos solver options.
 	Lanczos *linalg.LanczosOptions
-	// Power overrides the power-iteration solver options.
-	Power *linalg.PowerOptions
 	// Chebyshev overrides the filtered-subspace solver options.
 	Chebyshev *linalg.ChebOptions
 	// WrapOperator, when non-nil, wraps the sparse Laplacian operator
@@ -136,21 +153,39 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) validate() error {
-	if o.M < 1 {
-		return errors.New("core: Options.M must be ≥ 1")
-	}
-	if o.MaxK < 0 {
-		return errors.New("core: Options.MaxK must be ≥ 0")
-	}
-	if o.Processors < 0 {
-		return errors.New("core: Options.Processors must be ≥ 0")
-	}
-	return nil
+// Spectrum is the part of a spectral bound that depends only on the graph,
+// the Laplacian, h and the solver: the smallest eigenvalues and where they
+// came from. Theorems 4-6 are arithmetic on it; At evaluates them for any
+// memory size and processor count.
+type Spectrum struct {
+	// Eigenvalues holds the smallest min(h, n) Laplacian eigenvalues,
+	// ascending, after clamping round-off negatives to zero.
+	Eigenvalues []float64
+	// N is the graph's vertex count.
+	N int
+	// Kind is the Laplacian actually solved. After the escalation chain's
+	// Theorem 5 route it is Original even if OutDegreeNormalized was asked
+	// for.
+	Kind laplacian.Kind
+	// Divisor is Kind's Theorem 5 divisor: the maximum out-degree for
+	// Original (1 on an edgeless graph), 1 for OutDegreeNormalized.
+	Divisor float64
+	// SolverUsed is the solver that produced Eigenvalues.
+	SolverUsed Solver
+	// Degraded reports that the escalation chain had to deviate from the
+	// requested configuration (seed retry, solver switch, dense fallback,
+	// or Theorem 5 route) to produce this spectrum.
+	Degraded bool
+	// Fallbacks lists the degradation events, in order, human-readably.
+	Fallbacks []string
 }
 
-// Result reports a spectral lower bound and the diagnostics behind it.
+// Result reports a spectral lower bound and the spectrum behind it.
 type Result struct {
+	// Spectrum is what the bound was evaluated on; its fields
+	// (Eigenvalues, N, Kind, SolverUsed, Degraded, Fallbacks) read
+	// through Result.
+	Spectrum
 	// Bound is the I/O lower bound: max(0, max_k bound(k)).
 	Bound float64
 	// BestK is the k achieving Bound, or 0 when every k gives a
@@ -159,51 +194,37 @@ type Result struct {
 	// Raw is max_k bound(k) before clamping at zero; negative values mean
 	// the spectral method certifies nothing for this (G, M).
 	Raw float64
-	// Eigenvalues holds the smallest min(h, n) Laplacian eigenvalues used,
-	// ascending, after clamping round-off negatives to zero.
-	Eigenvalues []float64
 	// PerK[k-1] is the bound value for that k.
 	PerK []float64
-	// N, M, Processors, Kind and SolverUsed echo the configuration; after a
-	// fallback, Kind and SolverUsed report what actually produced the bound
-	// (e.g. Kind == Original after the Theorem 5 route).
-	N          int
+	// M and Processors are the memory size and processor count the bound
+	// was evaluated at.
 	M          int
 	Processors int
-	Kind       laplacian.Kind
-	SolverUsed Solver
-	// Degraded reports that the escalation chain had to deviate from the
-	// requested configuration (seed retry, solver switch, dense fallback,
-	// or Theorem 5 route) to produce this bound.
-	Degraded bool
-	// Fallbacks lists the degradation events, in order, human-readably.
-	Fallbacks []string
 }
 
-// SpectralBound computes the paper's spectral I/O lower bound for g.
-func SpectralBound(g *graph.Graph, opt Options) (*Result, error) {
-	return SpectralBoundContext(context.Background(), g, opt)
-}
-
-// SpectralBoundContext is SpectralBound with cancellation and graceful
-// degradation. The context is threaded into every eigensolve and checked at
-// iteration boundaries; cancellation aborts the solve immediately without
-// attempting fallbacks. When a solver fails for any other reason and
+// SolveSpectrum computes the h = Options.MaxK smallest eigenvalues of g's
+// Laplacian (Options.Laplacian) and records their provenance. It reads
+// neither Options.M nor Options.Processors, so one spectrum serves every
+// memory size and processor count through At.
+//
+// The context is threaded into every eigensolve and checked at iteration
+// boundaries; cancellation aborts the solve immediately without attempting
+// fallbacks. When a solver fails for any other reason and
 // Options.NoFallback is unset, an escalation chain tries progressively more
 // robust configurations: one retry with a perturbed start seed, the
 // remaining iterative solvers (Lanczos, then Chebyshev), the dense solver
 // when n ≤ Options.DenseFallbackCap, and finally the Theorem 5 route
 // (original Laplacian with the max-out-degree divisor) when Theorem 4 was
-// requested. Every degradation is recorded in Result.Fallbacks and counted
-// under the core.fallback.* observability counters.
-func SpectralBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
+// requested. Every degradation is recorded in Spectrum.Fallbacks and
+// counted under the core.fallback.* observability counters.
+func SolveSpectrum(ctx context.Context, g *graph.Graph, opt Options) (*Spectrum, error) {
 	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
+	if opt.MaxK < 0 {
+		return nil, errors.New("core: Options.MaxK must be ≥ 0")
 	}
 	n := g.N()
 	if n == 0 {
-		return &Result{N: 0, M: opt.M, Processors: opt.Processors, Kind: opt.Laplacian, SolverUsed: opt.Solver}, nil
+		return &Spectrum{Kind: opt.Laplacian, Divisor: 1, SolverUsed: opt.Solver}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: spectral bound interrupted: %w", err)
@@ -221,68 +242,92 @@ func SpectralBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Re
 			solver = SolverChebyshev
 		}
 	}
-	if solver != SolverDense && solver != SolverLanczos && solver != SolverPower && solver != SolverChebyshev {
+	if solver != SolverDense && solver != SolverLanczos && solver != SolverChebyshev {
 		return nil, fmt.Errorf("core: unknown solver %v", opt.Solver)
 	}
 
-	sp := obs.StartSpanCtx(ctx, "core.spectral_bound")
+	sp := obs.StartSpanCtx(ctx, "core.spectrum")
 	sp.SetInt("n", int64(n))
 	sp.SetInt("h", int64(h))
 	sp.SetStr("solver", solver.String())
 	sp.SetStr("laplacian", opt.Laplacian.String())
 	defer sp.End()
 
-	lambda, used, kind, events, err := solveSpectrum(ctx, g, solver, opt.Laplacian, h, opt, sp)
+	lambda, used, kind, events, err := escalate(ctx, g, solver, opt.Laplacian, h, opt, sp)
 	if err != nil {
 		return nil, err
 	}
 	if err := linalg.CheckFinite("core eigensolve output", lambda); err != nil {
 		return nil, &NonFiniteError{Where: "eigensolve output"}
 	}
-
-	divisor := 1.0
-	if kind == laplacian.Original {
-		d := g.MaxOutDeg()
-		if d == 0 {
-			d = 1 // edgeless graph; the spectrum is all zeros anyway
-		}
-		divisor = float64(d)
-	}
-
 	for i, l := range lambda {
 		if l < 0 {
 			lambda[i] = 0 // PSD spectrum; clamp eigensolver round-off
 		}
 	}
-	ksp := sp.Child("ksweep")
-	bound, bestK, perK := BoundFromEigenvaluesContext(ctx, lambda, n, opt.M, opt.Processors, divisor)
-	ksp.End()
-	if math.IsNaN(bound) || math.IsInf(bound, 0) {
-		return nil, &NonFiniteError{Where: "k-sweep bound"}
+	divisor := 1.0
+	if kind == laplacian.Original && g.MaxOutDeg() > 0 {
+		divisor = float64(g.MaxOutDeg()) // an edgeless graph keeps 1; its spectrum is all zeros
 	}
-	sp.SetFloat("bound", bound)
-	sp.SetInt("best_k", int64(bestK))
-	res := &Result{
-		Bound:       bound,
-		BestK:       bestK,
-		Raw:         rawMax(perK),
+	return &Spectrum{
 		Eigenvalues: lambda,
-		PerK:        perK,
 		N:           n,
-		M:           opt.M,
-		Processors:  opt.Processors,
 		Kind:        kind,
+		Divisor:     divisor,
 		SolverUsed:  used,
 		Degraded:    len(events) > 0,
 		Fallbacks:   events,
+	}, nil
+}
+
+// At evaluates the Theorem 4/5/6 bound on s for fast memory M and p
+// processors, dividing by s.Divisor. p < 1 counts as 1. The Result shares
+// s's Eigenvalues slice.
+func (s *Spectrum) At(ctx context.Context, M, p int) *Result {
+	if p < 1 {
+		p = 1
+	}
+	sp := obs.StartSpanCtx(ctx, "core.bound")
+	ksp := sp.Child("ksweep")
+	bound, bestK, perK := BoundFromEigenvaluesContext(ctx, s.Eigenvalues, s.N, M, p, s.Divisor)
+	ksp.End()
+	sp.SetFloat("bound", bound)
+	sp.SetInt("best_k", int64(bestK))
+	sp.End()
+	return &Result{Spectrum: *s, Bound: bound, BestK: bestK, Raw: rawMax(perK), PerK: perK, M: M, Processors: p}
+}
+
+// SpectralBound computes the paper's spectral I/O lower bound for g.
+func SpectralBound(g *graph.Graph, opt Options) (*Result, error) {
+	return SpectralBoundContext(context.Background(), g, opt)
+}
+
+// SpectralBoundContext is SolveSpectrum followed by At(opt.M,
+// opt.Processors): the bound at one memory size, with cancellation and
+// graceful degradation. Callers that want several M or p solve once and
+// call At for each.
+func SpectralBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
+	if opt.M < 1 {
+		return nil, errors.New("core: Options.M must be ≥ 1")
+	}
+	if opt.Processors < 0 {
+		return nil, errors.New("core: Options.Processors must be ≥ 0")
+	}
+	s, err := SolveSpectrum(ctx, g, opt)
+	if err != nil {
+		return nil, err
+	}
+	res := s.At(ctx, opt.M, opt.Processors)
+	if math.IsNaN(res.Bound) || math.IsInf(res.Bound, 0) {
+		return nil, &NonFiniteError{Where: "k-sweep bound"}
 	}
 	return res, nil
 }
 
-// solveSpectrum produces the ascending h smallest Laplacian eigenvalues for
-// g, escalating through fallbacks when solvers fail. It returns the solver
+// escalate produces the ascending h smallest Laplacian eigenvalues for g,
+// escalating through fallbacks when solvers fail. It returns the solver
 // and Laplacian kind that actually succeeded plus the degradation events.
-func solveSpectrum(ctx context.Context, g *graph.Graph, solver Solver, kind laplacian.Kind, h int, opt Options, sp *obs.Span) ([]float64, Solver, laplacian.Kind, []string, error) {
+func escalate(ctx context.Context, g *graph.Graph, solver Solver, kind laplacian.Kind, h int, opt Options, sp *obs.Span) ([]float64, Solver, laplacian.Kind, []string, error) {
 	var events []string
 
 	if solver == SolverDense {
@@ -441,12 +486,6 @@ func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solve
 			lo = perturbLanczos(lo)
 		}
 		lambda, err = linalg.SmallestEigsPSDContext(ctx, op, c, h, lo)
-	case SolverPower:
-		po := opt.Power
-		if at.perturb {
-			po = perturbPower(po)
-		}
-		lambda, err = linalg.PowerSmallestPSDContext(ctx, op, c, h, po)
 	default:
 		co := opt.Chebyshev
 		if at.perturb {
@@ -512,15 +551,6 @@ func nextSeed(s int64) int64 {
 
 func perturbLanczos(o *linalg.LanczosOptions) *linalg.LanczosOptions {
 	var out linalg.LanczosOptions
-	if o != nil {
-		out = *o
-	}
-	out.Seed = nextSeed(out.Seed)
-	return &out
-}
-
-func perturbPower(o *linalg.PowerOptions) *linalg.PowerOptions {
-	var out linalg.PowerOptions
 	if o != nil {
 		out = *o
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphio/internal/graph"
@@ -164,7 +166,7 @@ func TestSpectralBoundSolversAgree(t *testing.T) {
 	g := hypercubeDAG(6) // n=64, plenty of multiplicity
 	M := 4
 	var bounds []float64
-	for _, s := range []Solver{SolverDense, SolverLanczos, SolverPower, SolverChebyshev} {
+	for _, s := range []Solver{SolverDense, SolverLanczos, SolverChebyshev} {
 		res, err := SpectralBound(g, Options{M: M, MaxK: 20, Solver: s})
 		if err != nil {
 			t.Fatalf("solver %v: %v", s, err)
@@ -297,15 +299,83 @@ func TestSpectralBoundRandomDAGsNonNegative(t *testing.T) {
 }
 
 func TestSolverString(t *testing.T) {
+	// The numeric values are pinned: experiments.Config.Hash hashes
+	// int(Solver), so renumbering would invalidate every resumable sweep.
 	for s, want := range map[Solver]string{
-		SolverAuto: "auto", SolverDense: "dense", SolverLanczos: "lanczos",
-		SolverPower: "power", SolverChebyshev: "chebyshev",
+		0: "auto", 1: "dense", 2: "lanczos", 4: "chebyshev",
 	} {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q", int(s), s.String())
 		}
 	}
+	if SolverAuto != 0 || SolverDense != 1 || SolverLanczos != 2 || SolverChebyshev != 4 {
+		t.Errorf("solver values moved: auto=%d dense=%d lanczos=%d chebyshev=%d",
+			SolverAuto, SolverDense, SolverLanczos, SolverChebyshev)
+	}
 	if Solver(9).String() == "" {
 		t.Error("unknown solver should stringify")
+	}
+}
+
+func TestParseSolver(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Solver
+		ok   bool
+	}{
+		{"", SolverAuto, true},
+		{"auto", SolverAuto, true},
+		{"dense", SolverDense, true},
+		{"Lanczos", SolverLanczos, true},
+		{" CHEBYSHEV\n", SolverChebyshev, true},
+		{"power", 0, false},
+		{"cheb", 0, false},
+		{"qr", 0, false},
+	} {
+		got, err := ParseSolver(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseSolver(%q) = %v, %v; want %v (ok=%v)", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+	// Every name String prints parses back to its solver.
+	for _, s := range solvers {
+		if got, err := ParseSolver(s.String()); err != nil || got != s {
+			t.Errorf("ParseSolver(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+}
+
+func TestSolveSpectrumAtMatchesSpectralBound(t *testing.T) {
+	ctx := context.Background()
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+		maxK int
+	}{
+		{"hypercube-6", hypercubeDAG(6), 20},
+		{"h>n", hypercubeDAG(3), 20},
+		{"empty", graph.NewBuilder(0, 0).MustBuild(), 0},
+	}
+	for _, tc := range graphs {
+		for _, kind := range []laplacian.Kind{laplacian.OutDegreeNormalized, laplacian.Original} {
+			opt := Options{MaxK: tc.maxK, Laplacian: kind}
+			s, err := SolveSpectrum(ctx, tc.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, M := range []int{1, 4, 16} {
+				for _, p := range []int{1, 3} {
+					opt.M, opt.Processors = M, p
+					want, err := SpectralBoundContext(ctx, tc.g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := s.At(ctx, M, p); !reflect.DeepEqual(got, want) ||
+						math.Float64bits(got.Bound) != math.Float64bits(want.Bound) {
+						t.Errorf("%s %v M=%d p=%d: At = %+v, SpectralBound = %+v", tc.name, kind, M, p, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 func failFastSolverOpts(o *Options) {
 	o.Lanczos = &linalg.LanczosOptions{MaxRestarts: 2, Steps: 8}
 	o.Chebyshev = &linalg.ChebOptions{MaxIter: 2, Degree: 6}
-	o.Power = &linalg.PowerOptions{MaxIter: 30}
 }
 
 func TestFallbackChainSurvivesForcedLanczosNonConvergence(t *testing.T) {
@@ -134,6 +133,20 @@ func TestTheorem5RouteWhenDenseFallbackDisabled(t *testing.T) {
 	}
 	if math.Abs(res.Bound-clean.Bound) > 1e-6*(1+math.Abs(clean.Bound)) {
 		t.Errorf("Theorem 5 route bound %g != clean original-Laplacian bound %g", res.Bound, clean.Bound)
+	}
+
+	// The degraded spectrum carries its own divisor: re-evaluating it at
+	// other (M, p) must apply max out-degree, never Theorem 4's 1.
+	if res.Divisor != float64(g.MaxOutDeg()) {
+		t.Errorf("Divisor = %g, want max out-degree %d", res.Divisor, g.MaxOutDeg())
+	}
+	for _, M := range []int{1, 2, 6} {
+		for _, p := range []int{1, 2} {
+			want, _, _ := BoundFromEigenvalues(res.Eigenvalues, g.N(), M, p, float64(g.MaxOutDeg()))
+			if got := res.At(ctx, M, p).Bound; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("At(%d, %d) = %g, want Theorem 5 bound %g", M, p, got, want)
+			}
+		}
 	}
 }
 

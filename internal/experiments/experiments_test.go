@@ -14,6 +14,7 @@ import (
 	"graphio/internal/gen"
 	"graphio/internal/graph"
 	"graphio/internal/laplacian"
+	"graphio/internal/obs"
 )
 
 func tiny() Config {
@@ -29,6 +30,35 @@ func tiny() Config {
 	cfg.ERSizes = []int{48}
 	cfg.SandwichSamples = 4
 	return cfg
+}
+
+// runCountingSolves runs a table under a fresh obs scope and returns it
+// with the number of spectra it solved (core.spectrum spans).
+func runCountingSolves(t *testing.T, cfg Config, table func(context.Context, Config) (*Table, error)) (*Table, int64) {
+	t.Helper()
+	obs.Enable(true)
+	defer obs.Enable(false)
+	sc := obs.NewScope(t.Name())
+	defer sc.Close()
+	tab, err := table(obs.WithScope(context.Background(), sc), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, sc.Registry().Snapshot().Timers["span.core.spectrum"].Count
+}
+
+// checkOneSolvePerGraph asserts that a table solved each (graph, kind)
+// pair with a feasible M exactly once. A graph has a feasible M when it
+// has a row; rows name their graph in the first two columns.
+func checkOneSolvePerGraph(t *testing.T, tab *Table, solves int64, kinds int) {
+	t.Helper()
+	graphs := map[[2]string]bool{}
+	for _, row := range tab.Rows {
+		graphs[[2]string{row[0], row[1]}] = true
+	}
+	if want := int64(len(graphs) * kinds); solves != want {
+		t.Errorf("%s solved %d spectra, want %d (%d graphs × %d Laplacians)", tab.Name, solves, want, len(graphs), kinds)
+	}
 }
 
 func TestTableFormatting(t *testing.T) {
@@ -221,13 +251,11 @@ func TestTableSandwichHoldsInternally(t *testing.T) {
 	cfg := tiny()
 	// TableSandwich returns an error if any lower bound exceeds the
 	// simulated upper bound, so success is the assertion.
-	tab, err := TableSandwich(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, solves := runCountingSolves(t, cfg, TableSandwich)
 	if len(tab.Rows) == 0 {
 		t.Fatal("sandwich table empty")
 	}
+	checkOneSolvePerGraph(t, tab, solves, 2)
 }
 
 func TestTableBestKStaysBelowCap(t *testing.T) {
@@ -247,10 +275,8 @@ func TestTableBestKStaysBelowCap(t *testing.T) {
 
 func TestTableThm4vs5Tightness(t *testing.T) {
 	cfg := tiny()
-	tab, err := TableThm4vs5(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, solves := runCountingSolves(t, cfg, TableThm4vs5)
+	checkOneSolvePerGraph(t, tab, solves, 2)
 	for _, row := range tab.Rows {
 		t4, ok1 := parseCell(t, row[3])
 		t5, ok2 := parseCell(t, row[4])
@@ -335,13 +361,11 @@ func TestTableExactGroundTruth(t *testing.T) {
 	cfg := tiny()
 	// TableExact enforces lower ≤ J* ≤ simulated internally; returning
 	// without error plus non-empty rows is the assertion.
-	tab, err := TableExact(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, solves := runCountingSolves(t, cfg, TableExact)
 	if len(tab.Rows) == 0 {
 		t.Fatal("exact table empty")
 	}
+	checkOneSolvePerGraph(t, tab, solves, 1)
 	for _, row := range tab.Rows {
 		exact, ok1 := parseCell(t, row[5])
 		sim, ok2 := parseCell(t, row[6])
@@ -369,10 +393,8 @@ func TestTableExpansionConsistent(t *testing.T) {
 func TestTableGridSandwich(t *testing.T) {
 	cfg := tiny()
 	// Internal lower ≤ simulated check is enforced by the function.
-	tab, err := TableGrid(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, solves := runCountingSolves(t, cfg, TableGrid)
+	checkOneSolvePerGraph(t, tab, solves, 1)
 	for _, row := range tab.Rows {
 		fr, ok1 := parseCell(t, row[5])
 		kahn, ok2 := parseCell(t, row[6])
@@ -384,13 +406,11 @@ func TestTableGridSandwich(t *testing.T) {
 
 func TestTableHongKungConsistent(t *testing.T) {
 	cfg := tiny()
-	tab, err := TableHongKung(context.Background(), cfg) // internal soundness checks error out
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, solves := runCountingSolves(t, cfg, TableHongKung) // internal soundness checks error out
 	if len(tab.Rows) == 0 {
 		t.Fatal("hongkung table empty")
 	}
+	checkOneSolvePerGraph(t, tab, solves, 1)
 	for _, row := range tab.Rows {
 		nt, ok1 := parseCell(t, row[5])
 		tot, ok2 := parseCell(t, row[7])
@@ -401,8 +421,8 @@ func TestTableHongKungConsistent(t *testing.T) {
 }
 
 func TestComputeBoundsMatchesDirectSpectralBound(t *testing.T) {
-	// Regression for the divisor-1 reuse: the cached-eigenvalue path must
-	// agree exactly with a direct Theorem 4 SpectralBound call.
+	// The cached spectrum, evaluated per M, must agree exactly with a
+	// direct Theorem 4 SpectralBound call at that M.
 	cfg := tiny()
 	g := gen.FFT(4)
 	gb, err := computeBounds(context.Background(), cfg, g, false)
@@ -416,7 +436,7 @@ func TestComputeBoundsMatchesDirectSpectralBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := gb.spectralAt(M); got != direct.Bound {
+		if got := gb.spectralAt(context.Background(), M); got != direct.Bound {
 			t.Errorf("M=%d: cached %g vs direct %g", M, got, direct.Bound)
 		}
 	}

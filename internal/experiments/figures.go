@@ -8,17 +8,16 @@ import (
 
 	"graphio/internal/core"
 	"graphio/internal/graph"
-	"graphio/internal/laplacian"
 	"graphio/internal/mincut"
 	"graphio/internal/obs"
 )
 
 // graphBounds carries everything the figure tables need for one graph:
-// the spectral eigenvalue prefix (M-independent), the baseline's best cut
-// (also M-independent — the per-M bound is 2·(cut − M)), and timings.
+// the Theorem 4 spectrum (M-independent), the baseline's best cut (also
+// M-independent — the per-M bound is 2·(cut − M)), and timings.
 type graphBounds struct {
 	g            *graph.Graph
-	eigs         []float64
+	spec         *core.Spectrum
 	spectralTime time.Duration
 	cut          int64
 	cutTime      time.Duration
@@ -31,15 +30,11 @@ type graphBounds struct {
 func computeBounds(ctx context.Context, cfg Config, g *graph.Graph, wantMinCut bool) (*graphBounds, error) {
 	gb := &graphBounds{g: g}
 	start := obs.Now()
-	// Explicitly Theorem 4: spectralAt reapplies BoundFromEigenvalues with
-	// divisor 1, which is only sound for the normalized Laplacian.
-	res, err := core.SpectralBoundContext(ctx, g, core.Options{
-		M: 1, MaxK: cfg.MaxK, Solver: cfg.Solver, Laplacian: laplacian.OutDegreeNormalized,
-	})
+	spec, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
 	if err != nil {
 		return nil, fmt.Errorf("spectral bound for %s: %w", g.Name(), err)
 	}
-	gb.eigs = res.Eigenvalues
+	gb.spec = spec
 	gb.spectralTime = obs.Since(start)
 
 	if wantMinCut {
@@ -58,11 +53,10 @@ func computeBounds(ctx context.Context, cfg Config, g *graph.Graph, wantMinCut b
 	return gb, nil
 }
 
-// spectralAt evaluates the Theorem 4 bound at memory size M from the
-// cached eigenvalues.
-func (gb *graphBounds) spectralAt(M int) float64 {
-	bound, _, _ := core.BoundFromEigenvalues(gb.eigs, gb.g.N(), M, 1, 1)
-	return bound
+// spectralAt evaluates the spectral bound at memory size M on the cached
+// spectrum.
+func (gb *graphBounds) spectralAt(ctx context.Context, M int) float64 {
+	return gb.spec.At(ctx, M, 1).Bound
 }
 
 // mincutAt evaluates the baseline bound at memory size M from the cached
@@ -124,7 +118,7 @@ func figureSweep(ctx context.Context, name, title, sizeLabel, xLabel string, siz
 		}
 		row := []string{inum(size), inum(g.N()), fnum(xval(size))}
 		for _, M := range memories {
-			row = append(row, cell(gb, M, gb.spectralAt(M)))
+			row = append(row, cell(gb, M, gb.spectralAt(ctx, M)))
 		}
 		for _, M := range memories {
 			row = append(row, mincutCell(gb, M))

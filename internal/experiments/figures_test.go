@@ -71,7 +71,7 @@ func TestTimedOutMincutCellMarked(t *testing.T) {
 
 func TestInfeasibleCellDash(t *testing.T) {
 	g := gen.BellmanHeldKarp(5) // max in-degree 5
-	gb := &graphBounds{g: g, eigs: []float64{0, 1}}
+	gb := &graphBounds{g: g}
 	if cell(gb, 2, 123) != "-" {
 		t.Error("in-degree > M should render as '-'")
 	}

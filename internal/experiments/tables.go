@@ -15,6 +15,32 @@ import (
 	"graphio/internal/pebble"
 )
 
+// feasible returns the memory sizes in Ms at which g can be evaluated at
+// all: max in-degree ≤ M (the paper drops the other points, §6.4).
+func feasible(g *graph.Graph, Ms []int) []int {
+	var out []int
+	for _, M := range Ms {
+		if g.MaxInDeg() <= M {
+			out = append(out, M)
+		}
+	}
+	return out
+}
+
+// bothSpectra solves g's Theorem 4 (normalized) and Theorem 5 (original)
+// Laplacian spectra once each; At evaluates either at any M.
+func bothSpectra(ctx context.Context, cfg Config, g *graph.Graph) (s4, s5 *core.Spectrum, err error) {
+	s4, err = core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
+	if err != nil {
+		return nil, nil, err
+	}
+	s5, err = core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Laplacian: laplacian.Original, Solver: cfg.Solver})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s4, s5, nil
+}
+
 // TableHypercube reproduces the §5.1 closed-form analysis: the simple
 // α = 1 bound, the α-optimized closed form evaluated from the exact
 // hypercube spectrum, and the solver-computed Theorem 5 bound, which must
@@ -27,27 +53,19 @@ func TableHypercube(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	for _, l := range cfg.BHKCities {
 		g := gen.BellmanHeldKarp(l)
-		// One eigensolve per Laplacian kind serves every M.
-		r5, err := core.SpectralBoundContext(ctx, g, core.Options{
-			M: 1, MaxK: cfg.MaxK, Laplacian: laplacian.Original, Solver: cfg.Solver,
-		})
+		Ms := feasible(g, cfg.BHKMemories)
+		if len(Ms) == 0 {
+			continue
+		}
+		s4, s5, err := bothSpectra(ctx, cfg, g)
 		if err != nil {
 			return nil, err
 		}
-		r4, err := core.SpectralBoundContext(ctx, g, core.Options{M: 1, MaxK: cfg.MaxK, Solver: cfg.Solver})
-		if err != nil {
-			return nil, err
-		}
-		for _, M := range cfg.BHKMemories {
-			if g.MaxInDeg() > M {
-				continue
-			}
+		for _, M := range Ms {
 			simple := analytic.HypercubeBoundSimple(l, M)
 			opt, bestK := analytic.HypercubeBoundOptimalK(l, M, cfg.MaxK)
-			t5, _, _ := core.BoundFromEigenvalues(r5.Eigenvalues, g.N(), M, 1, float64(g.MaxOutDeg()))
-			t4, _, _ := core.BoundFromEigenvalues(r4.Eigenvalues, g.N(), M, 1, 1)
 			t.AddRow(inum(l), inum(M), fnum(simple), fnum(opt), inum(bestK),
-				fnum(t5), fnum(t4))
+				fnum(s5.At(ctx, M, 1).Bound), fnum(s4.At(ctx, M, 1).Bound))
 		}
 	}
 	return t, nil
@@ -147,20 +165,16 @@ func TableSandwich(ctx context.Context, cfg Config) (*Table, error) {
 		gen.Grid2D(5, 5),
 	}
 	for _, g := range graphs {
-		for _, M := range []int{4, 8} {
-			if g.MaxInDeg() > M {
-				continue
-			}
-			t4, err := core.SpectralBoundContext(ctx, g, core.Options{M: M, MaxK: cfg.MaxK, Solver: cfg.Solver})
-			if err != nil {
-				return nil, err
-			}
-			t5, err := core.SpectralBoundContext(ctx, g, core.Options{
-				M: M, MaxK: cfg.MaxK, Laplacian: laplacian.Original, Solver: cfg.Solver,
-			})
-			if err != nil {
-				return nil, err
-			}
+		Ms := feasible(g, []int{4, 8})
+		if len(Ms) == 0 {
+			continue
+		}
+		s4, s5, err := bothSpectra(ctx, cfg, g)
+		if err != nil {
+			return nil, err
+		}
+		for _, M := range Ms {
+			t4, t5 := s4.At(ctx, M, 1), s5.At(ctx, M, 1)
 			mc, err := mincut.ConvexMinCutBoundContext(ctx, g, mincut.Options{M: M, Timeout: cfg.MinCutTimeout})
 			if err != nil {
 				return nil, err
@@ -207,18 +221,18 @@ func TableBestK(ctx context.Context, cfg Config) (*Table, error) {
 		entries = append(entries, entry{gen.BellmanHeldKarp(l), cfg.BHKMemories})
 	}
 	for _, e := range entries {
-		// One eigensolve per graph serves every M.
-		res, err := core.SpectralBoundContext(ctx, e.g, core.Options{M: 1, MaxK: cfg.MaxK, Solver: cfg.Solver})
+		Ms := feasible(e.g, e.Ms)
+		if len(Ms) == 0 {
+			continue
+		}
+		s, err := core.SolveSpectrum(ctx, e.g, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
 		if err != nil {
 			return nil, err
 		}
-		for _, M := range e.Ms {
-			if e.g.MaxInDeg() > M {
-				continue
-			}
-			bound, bestK, _ := core.BoundFromEigenvalues(res.Eigenvalues, e.g.N(), M, 1, 1)
-			t.AddRow(e.g.Name(), inum(e.g.N()), inum(M), inum(bestK),
-				inum(len(res.Eigenvalues)), fnum(bound))
+		for _, M := range Ms {
+			res := s.At(ctx, M, 1)
+			t.AddRow(e.g.Name(), inum(e.g.N()), inum(M), inum(res.BestK),
+				inum(len(s.Eigenvalues)), fnum(res.Bound))
 		}
 	}
 	return t, nil
@@ -240,20 +254,16 @@ func TableThm4vs5(ctx context.Context, cfg Config) (*Table, error) {
 		gen.BellmanHeldKarp(8),
 	}
 	for _, g := range graphs {
-		for _, M := range []int{8, 16} {
-			if g.MaxInDeg() > M {
-				continue
-			}
-			t4, err := core.SpectralBoundContext(ctx, g, core.Options{M: M, MaxK: cfg.MaxK, Solver: cfg.Solver})
-			if err != nil {
-				return nil, err
-			}
-			t5, err := core.SpectralBoundContext(ctx, g, core.Options{
-				M: M, MaxK: cfg.MaxK, Laplacian: laplacian.Original, Solver: cfg.Solver,
-			})
-			if err != nil {
-				return nil, err
-			}
+		Ms := feasible(g, []int{8, 16})
+		if len(Ms) == 0 {
+			continue
+		}
+		s4, s5, err := bothSpectra(ctx, cfg, g)
+		if err != nil {
+			return nil, err
+		}
+		for _, M := range Ms {
+			t4, t5 := s4.At(ctx, M, 1), s5.At(ctx, M, 1)
 			ratio := "inf"
 			if t5.Bound > 0 {
 				ratio = fmt.Sprintf("%.3f", t4.Bound/t5.Bound)

@@ -38,13 +38,13 @@ func TableParallel(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		row := []string{g.Name(), inum(g.N()), inum(M)}
 		// One eigensolve serves every p.
-		res, err := core.SpectralBoundContext(ctx, g, core.Options{M: M, MaxK: cfg.MaxK, Solver: cfg.Solver})
+		s, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
 		if err != nil {
 			return nil, err
 		}
 		prev := math.Inf(1)
 		for _, p := range []int{1, 2, 4, 8, 16} {
-			bound, _, _ := core.BoundFromEigenvalues(res.Eigenvalues, g.N(), M, p, 1)
+			bound := s.At(ctx, M, p).Bound
 			if bound > prev+1e-9 {
 				return nil, fmt.Errorf("parallel bound increased with p on %s", g.Name())
 			}
@@ -191,18 +191,20 @@ func TableExact(ctx context.Context, cfg Config) (*Table, error) {
 		gen.ErdosRenyiDAG(14, 0.3, cfg.Seed),
 	}
 	for _, g := range graphs {
-		for _, M := range []int{2, 3} {
-			if g.MaxInDeg() > M {
-				continue
-			}
+		Ms := feasible(g, []int{2, 3})
+		if len(Ms) == 0 {
+			continue
+		}
+		s4, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Solver: core.SolverDense})
+		if err != nil {
+			return nil, err
+		}
+		for _, M := range Ms {
 			exact, err := redblue.OptimalContext(ctx, g, M, redblue.Options{})
 			if err != nil {
 				return nil, err
 			}
-			t4, err := core.SpectralBoundContext(ctx, g, core.Options{M: M, MaxK: cfg.MaxK, Solver: core.SolverDense})
-			if err != nil {
-				return nil, err
-			}
+			t4 := s4.At(ctx, M, 1)
 			mc, err := mincut.ConvexMinCutBoundContext(ctx, g, mincut.Options{M: M})
 			if err != nil {
 				return nil, err

@@ -98,14 +98,16 @@ func TableHongKung(ctx context.Context, cfg Config) (*Table, error) {
 		gen.BinaryTreeReduce(3),
 	}
 	for _, g := range graphs {
-		for _, M := range []int{2, 3} {
-			if g.MaxInDeg() > M {
-				continue
-			}
-			spec, err := core.SpectralBoundContext(ctx, g, core.Options{M: M, MaxK: cfg.MaxK, Solver: core.SolverDense})
-			if err != nil {
-				return nil, err
-			}
+		Ms := feasible(g, []int{2, 3})
+		if len(Ms) == 0 {
+			continue
+		}
+		s4, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Solver: core.SolverDense})
+		if err != nil {
+			return nil, err
+		}
+		for _, M := range Ms {
+			spec := s4.At(ctx, M, 1)
 			mc, err := mincut.ConvexMinCutBoundContext(ctx, g, mincut.Options{M: M})
 			if err != nil {
 				return nil, err
@@ -149,12 +151,13 @@ func TableGrid(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	for _, side := range []int{8, 16, 24} {
 		g := gen.Grid2D(side, side)
+		s4, err := core.SolveSpectrum(ctx, g, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
+		if err != nil {
+			return nil, err
+		}
 		for _, M := range []int{4, 8} {
 			closed, _ := analytic.GridBound(side, side, M, cfg.MaxK)
-			res, err := core.SpectralBoundContext(ctx, g, core.Options{M: M, MaxK: cfg.MaxK, Solver: cfg.Solver})
-			if err != nil {
-				return nil, err
-			}
+			res := s4.At(ctx, M, 1)
 			fr, err := pebble.SimulateContext(ctx, g, pebble.FrontierOrder(g), M, pebble.Belady)
 			if err != nil {
 				return nil, err

@@ -34,7 +34,7 @@ func TableHier(ctx context.Context, cfg Config) (*Table, error) {
 		if g.MaxInDeg() > caps[0] {
 			caps[0] = g.MaxInDeg()
 		}
-		floors, err := hier.Bounds(g, caps, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
+		floors, err := hier.Bounds(ctx, g, caps, core.Options{MaxK: cfg.MaxK, Solver: cfg.Solver})
 		if err != nil {
 			return nil, err
 		}

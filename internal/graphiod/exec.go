@@ -61,7 +61,7 @@ func (srv *Server) resolveGraph(spec jobSpec) (*graph.Graph, error) {
 // Solver failures after the escalation chain come back inside the
 // MethodResult, not as an error — only ctx expiry aborts the method.
 func runMethod(ctx context.Context, g *graph.Graph, spec jobSpec, method string, wrap func(linalg.Operator) linalg.Operator) MethodResult {
-	solver, _, err := parseSolver(spec.Solver)
+	solver, err := core.ParseSolver(spec.Solver)
 	if err != nil {
 		return MethodResult{Method: method, Error: err.Error()}
 	}

@@ -583,6 +583,7 @@ func TestSubmitValidation(t *testing.T) {
 		{JobRequest{Spec: "chain:16"}, "must be ≥ 1"},
 		{JobRequest{Spec: "chain:16", M: 4, MaxK: 1 << 20}, "max_k must be in"},
 		{JobRequest{Spec: "chain:16", M: 4, Solver: "quantum"}, "unknown solver"},
+		{JobRequest{Spec: "chain:16", M: 4, Solver: "power"}, "unknown solver"},
 		{JobRequest{Spec: "warp:4", M: 4}, "unknown generator"},
 	}
 	for _, c := range cases {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"graphio/internal/core"
 	"graphio/internal/gen"
 	"graphio/internal/graph"
 )
@@ -122,24 +121,6 @@ func BuildSpec(spec string) (*graph.Graph, error) {
 	return g.build(size), nil
 }
 
-// Solver names accepted on the wire, mapped to core's enum.
-var solverNames = map[string]core.Solver{
-	"":          core.SolverAuto,
-	"auto":      core.SolverAuto,
-	"dense":     core.SolverDense,
-	"lanczos":   core.SolverLanczos,
-	"power":     core.SolverPower,
-	"chebyshev": core.SolverChebyshev,
-}
-
-func parseSolver(name string) (core.Solver, string, error) {
-	s, ok := solverNames[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return 0, "", fmt.Errorf("graphiod: unknown solver %q (want auto, dense, lanczos, power, or chebyshev)", name)
-	}
-	return s, s.String(), nil
-}
-
 // JobRequest is the POST /v1/jobs body. Exactly one of Spec or Graph
 // selects the graph; M is required. Priority, Client, and TimeoutMS are
 // operational and excluded from the cache key.
@@ -153,7 +134,7 @@ type JobRequest struct {
 	// MaxK is h, the eigenvalue budget. Default 60, capped at 512.
 	MaxK int `json:"max_k,omitempty"`
 	// Solver picks the eigensolver backend: auto (default), dense,
-	// lanczos, power, chebyshev.
+	// lanczos, chebyshev.
 	Solver string `json:"solver,omitempty"`
 	// Priority orders the queue (higher first; default 0). Under memory
 	// pressure the lowest-priority queued jobs are shed first.

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphio/internal/core"
 	"graphio/internal/graph"
 	"graphio/internal/linalg"
 	"graphio/internal/obs"
@@ -468,11 +469,11 @@ func (srv *Server) buildSpec(req JobRequest) (*jobSpec, *Fault) {
 	if maxK < 1 || maxK > maxMaxK {
 		return nil, &Fault{Kind: "input", Message: fmt.Sprintf("max_k must be in [1, %d]", maxMaxK)}
 	}
-	_, solverName, err := parseSolver(req.Solver)
+	solver, err := core.ParseSolver(req.Solver)
 	if err != nil {
 		return nil, &Fault{Kind: "input", Message: err.Error()}
 	}
-	spec := &jobSpec{V: 1, M: req.M, MaxK: maxK, Solver: solverName}
+	spec := &jobSpec{V: 1, M: req.M, MaxK: maxK, Solver: solver.String()}
 
 	if req.Spec != "" {
 		canonical, err := ParseSpec(req.Spec, srv.cfg.MaxVertices)

@@ -1,6 +1,7 @@
 package hier_test
 
 import (
+	"context"
 	"fmt"
 
 	"graphio/internal/core"
@@ -13,7 +14,7 @@ import (
 // boundary 1 below the cumulative 4+12.
 func ExampleBounds() {
 	g := gen.FFT(6)
-	floors, err := hier.Bounds(g, []int{4, 12}, core.Options{})
+	floors, err := hier.Bounds(context.Background(), g, []int{4, 12}, core.Options{})
 	if err != nil {
 		panic(err)
 	}

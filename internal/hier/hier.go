@@ -16,63 +16,40 @@
 package hier
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"graphio/internal/core"
 	"graphio/internal/graph"
-	"graphio/internal/laplacian"
 )
 
 // Bounds computes the Theorem 4 lower bound at every hierarchy boundary:
 // out[i] bounds the transfers across the boundary below level i+1 (between
 // levels i+1 and i+2 in 1-based terms), using cumulative capacity
 // M = caps[0]+…+caps[i]. A single eigensolve serves every boundary.
-// opt selects the solver/Laplacian/h; its M field is ignored (each
-// boundary substitutes its own cumulative capacity).
-func Bounds(g *graph.Graph, caps []int, opt core.Options) ([]float64, error) {
+// opt selects the solver, Laplacian, h and processor count.
+func Bounds(ctx context.Context, g *graph.Graph, caps []int, opt core.Options) ([]float64, error) {
 	if len(caps) == 0 {
 		return nil, errors.New("hier: need at least one level capacity")
 	}
-	cum := 0
 	for i, c := range caps {
 		if c < 1 {
 			return nil, fmt.Errorf("hier: capacity of level %d must be ≥ 1", i+1)
 		}
-		cum += c
 	}
-	opt.M = 1 // placeholder; per-boundary M applied below
-	res, err := core.SpectralBound(g, opt)
+	s, err := core.SolveSpectrum(ctx, g, opt)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(caps))
-	cum = 0
+	cum := 0
 	for i, c := range caps {
 		cum += c
-		b, _, _ := core.BoundFromEigenvalues(res.Eigenvalues, g.N(), cum, maxInt(res.Processors, 1), divisorFor(res, g))
-		out[i] = b
+		out[i] = s.At(ctx, cum, opt.Processors).Bound
 	}
 	return out, nil
-}
-
-func divisorFor(res *core.Result, g *graph.Graph) float64 {
-	if res.Kind == laplacian.Original {
-		d := g.MaxOutDeg()
-		if d == 0 {
-			d = 1
-		}
-		return float64(d)
-	}
-	return 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Result reports a simulated multi-level execution.

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 
 func TestBoundsValidation(t *testing.T) {
 	g := gen.Chain(4)
-	if _, err := Bounds(g, nil, core.Options{}); err == nil {
+	if _, err := Bounds(context.Background(), g, nil, core.Options{}); err == nil {
 		t.Error("empty capacities accepted")
 	}
-	if _, err := Bounds(g, []int{2, 0}, core.Options{}); err == nil {
+	if _, err := Bounds(context.Background(), g, []int{2, 0}, core.Options{}); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
@@ -24,7 +25,7 @@ func TestBoundsMatchTwoLevel(t *testing.T) {
 	// One level of capacity M reduces to the plain Theorem 4 bound; the
 	// boundary below a second level uses the cumulative capacity.
 	g := gen.FFT(8)
-	bs, err := Bounds(g, []int{4, 12}, core.Options{})
+	bs, err := Bounds(context.Background(), g, []int{4, 12}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestPerBoundarySandwich(t *testing.T) {
 	// Each boundary's simulated transfers must dominate its spectral floor.
 	for _, g := range []*graph.Graph{gen.FFT(6), gen.BellmanHeldKarp(6)} {
 		caps := []int{g.MaxInDeg() + 2, 8, 16}
-		bs, err := Bounds(g, caps, core.Options{})
+		bs, err := Bounds(context.Background(), g, caps, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // itself is NOT guaranteed to be the true smallest eigenvalues, so it must
 // not be fed back into a lower bound).
 type NotConvergedError struct {
-	// Solver names the method that gave up ("lanczos", "chebyshev", "power").
+	// Solver names the method that gave up ("Lanczos", "Chebyshev").
 	Solver string
 	// Requested and Converged count the wanted and locked eigenpairs.
 	Requested, Converged int

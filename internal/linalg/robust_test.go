@@ -54,9 +54,6 @@ func TestSolversReportNonConvergenceUnderNoise(t *testing.T) {
 		{"chebyshev", "Chebyshev", small, func(op linalg.Operator, c float64) ([]float64, error) {
 			return linalg.ChebFilteredSmallest(op, c, 4, &linalg.ChebOptions{MaxIter: 3, Degree: 6})
 		}},
-		{"power", "power", small, func(op linalg.Operator, c float64) ([]float64, error) {
-			return linalg.PowerSmallestPSD(op, c, 4, &linalg.PowerOptions{MaxIter: 25})
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,9 +102,6 @@ func TestSolversDetectNaNPoisoning(t *testing.T) {
 		{"chebyshev", func(op linalg.Operator) ([]float64, error) {
 			return linalg.ChebFilteredSmallest(op, c, 4, nil)
 		}},
-		{"power", func(op linalg.Operator) ([]float64, error) {
-			return linalg.PowerSmallestPSD(op, c, 4, nil)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,9 +136,6 @@ func TestSolversHonorCancelledContext(t *testing.T) {
 		{"chebyshev", func() ([]float64, error) {
 			return linalg.ChebFilteredSmallestContext(ctx, m, c, 4, nil)
 		}},
-		{"power", func() ([]float64, error) {
-			return linalg.PowerSmallestPSDContext(ctx, m, c, 4, nil)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,9 +162,6 @@ func TestSolversHitDeadlineDuringStalledMatvecs(t *testing.T) {
 		}},
 		{"chebyshev", func(ctx context.Context, op linalg.Operator) ([]float64, error) {
 			return linalg.ChebFilteredSmallestContext(ctx, op, c, 6, nil)
-		}},
-		{"power", func(ctx context.Context, op linalg.Operator) ([]float64, error) {
-			return linalg.PowerSmallestPSDContext(ctx, op, c, 6, nil)
 		}},
 	}
 	for _, tc := range cases {

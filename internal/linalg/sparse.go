@@ -217,10 +217,10 @@ func (m *CSR) GershgorinUpper() float64 {
 	return best
 }
 
-// ShiftedNeg is the operator c*I − A for a symmetric operator A. Lanczos and
-// power iteration converge to extremal eigenvalues; running them on
-// ShiftedNeg with c ≥ λmax(A) turns the *smallest* eigenvalues of a PSD A
-// into the largest of the shifted operator.
+// ShiftedNeg is the operator c*I − A for a symmetric operator A. Lanczos
+// converges to extremal eigenvalues; running it on ShiftedNeg with
+// c ≥ λmax(A) turns the *smallest* eigenvalues of a PSD A into the largest
+// of the shifted operator.
 type ShiftedNeg struct {
 	A Operator
 	C float64

@@ -232,49 +232,10 @@ func TestLanczosMatchesDenseOnRandomLaplacians(t *testing.T) {
 	}
 }
 
-func TestPowerMatchesDense(t *testing.T) {
-	n := 30
-	m := pathCSR(n)
-	h := 4
-	got, err := PowerSmallestPSD(m, m.GershgorinUpper(), h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pathEigenvalues(n)[:h]
-	if d := maxAbsDiff(got, want); d > 1e-4 {
-		t.Errorf("power iteration error %g: got %v want %v", d, got, want)
-	}
-}
-
-func TestPowerRecoversMultiplicity(t *testing.T) {
-	// Star K_{1,5}: Laplacian eigenvalues 0, 1 (multiplicity 4), 6.
-	n := 6
-	var tr []Triplet
-	for leaf := 1; leaf < n; leaf++ {
-		tr = append(tr, Triplet{0, 0, 1}, Triplet{leaf, leaf, 1},
-			Triplet{0, leaf, -1}, Triplet{leaf, 0, -1})
-	}
-	m, err := NewCSRFromTriplets(n, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PowerSmallestPSD(m, m.GershgorinUpper(), 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 1, 1, 1}
-	if d := maxAbsDiff(got, want); d > 1e-4 {
-		t.Errorf("star eigenvalues: got %v want %v", got, want)
-	}
-}
-
 func TestSolverErrorsOnBadH(t *testing.T) {
 	m := pathCSR(3)
 	if _, err := SmallestEigsPSD(m, 4, 0, nil); err == nil {
 		t.Error("Lanczos accepted h=0")
-	}
-	if _, err := PowerSmallestPSD(m, 4, -1, nil); err == nil {
-		t.Error("power accepted h=-1")
 	}
 }
 

@@ -2,11 +2,11 @@
 // from scratch on the standard library: dense symmetric eigendecomposition
 // (Householder tridiagonalization + implicit-shift QL, with a Sturm-sequence
 // bisection solver as an independent cross-check), compressed sparse row
-// matrices, and three iterative solvers for the smallest eigenvalues of
+// matrices, and two iterative solvers for the smallest eigenvalues of
 // large sparse PSD matrices — Chebyshev-filtered subspace iteration (the
 // default: a block method that powers through the clustered,
-// high-multiplicity spectra of structured computation graphs), Lanczos with
-// full reorthogonalization and deflation, and a deflated power iteration.
+// high-multiplicity spectra of structured computation graphs) and Lanczos
+// with full reorthogonalization and deflation.
 package linalg
 
 import "math"

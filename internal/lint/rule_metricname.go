@@ -16,11 +16,11 @@ import (
 // "linalg.matvec_ns" or "core.fallback.total"). cmd/obsreport and the
 // Prometheus /metrics endpoint rely on being able to list every metric the
 // binary can emit by reading the source. Constant expressions fold —
-// "core." + "best" is fine; a name built from a runtime variable is not,
-// with one carve-out: a dynamic name whose constant leading prefix is a
-// declared bounded family ("core.best." + method) is accepted, because the
-// family's members are a small closed set enumerable from the declaring
-// package (solver methods, fallback kinds, job terminal states).
+// "core." + "fallback" is fine; a name built from a runtime variable is
+// not, with one carve-out: a dynamic name whose constant leading prefix is
+// a declared bounded family ("core.fallback." + kind) is accepted, because
+// the family's members are a small closed set enumerable from the
+// declaring package (fallback kinds, job terminal states).
 // The obs package itself and _test.go files are exempt.
 type MetricName struct {
 	// ObsPath is the import path of the metrics package.
@@ -41,11 +41,10 @@ var MetricNamePattern = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9_]+)+$`)
 
 // MetricFamilies are the repo's declared bounded families: dynamic metric
 // names are legal only under these prefixes. Members are closed sets —
-// bound methods (core/best.go), escalation fallback kinds (core/core.go),
-// the experiments runner registry (experiments/runall.go), and graphiod's
-// job failure kinds (graphiod/job.go).
+// escalation fallback kinds (core/core.go), the experiments runner
+// registry (experiments/runall.go), and graphiod's job failure kinds
+// (graphiod/job.go).
 var MetricFamilies = []string{
-	"core.best.",
 	"core.fallback.",
 	"experiments.",
 	"serve.fail.",

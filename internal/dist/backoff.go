@@ -57,16 +57,3 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 }
-
-// jitterFrac returns a deterministic fraction in [0,1) from a pair of
-// integers — requeue backoff jitter on the coordinator, where delays must
-// depend only on (shard attempt, sequence) so WAL replay reproduces them.
-func jitterFrac(a, b int64) float64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b) + 0x632BE59BD9B4E019
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
-}

@@ -7,16 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
+	"graphio/internal/jobs"
 	"graphio/internal/obs"
-	"graphio/internal/persist"
 )
 
 // Sink is where shard outcomes land. *experiments.Merge satisfies it
@@ -78,81 +79,39 @@ type Config struct {
 	Log io.Writer
 }
 
-func (c Config) leaseTTL() time.Duration {
-	if c.LeaseTTL > 0 {
-		return c.LeaseTTL
-	}
-	return 30 * time.Second
-}
-
-func (c Config) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 3
-}
-
-func (c Config) retryDelay() time.Duration {
-	if c.RetryDelay > 0 {
-		return c.RetryDelay
-	}
-	return time.Second
-}
-
 // walName is the coordinator's journal, kept in OutDir beside the sweep
-// manifest. Same CRC-framed JSONL format (persist.Journal).
+// manifest: a jobs.Table WAL whose tasks are the shards.
 const walName = "dist.json"
 
-// walRecord is one assignment-state transition. Each record is appended
-// (and fsynced) *before* the in-memory transition it describes takes
-// effect, so a coordinator killed at any instant restarts into a state it
-// had durably announced.
-type walRecord struct {
-	Kind    string `json:"kind"` // grant | complete | fail | poison
-	Shard   string `json:"shard"`
-	Worker  string `json:"worker,omitempty"`
-	Lease   string `json:"lease,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
+// shardStatus maps job-table states to the /v1/state shard statuses.
+var shardStatus = map[string]string{
+	jobs.Queued: StatePending, jobs.Running: StateLeased,
+	jobs.Done: StateDone, jobs.Failed: StatePoisoned,
 }
 
-// shardState is one shard's slot in the coordinator's state machine:
-// pending -> leased -> done | back to pending (attempt burned) | poisoned.
-type shardState struct {
-	name      string
-	state     string // StatePending | StateLeased | StateDone | StatePoisoned
-	attempts  int    // grants so far (1-based on the current lease)
-	worker    string
-	lease     string
-	expiry    time.Time // lease deadline while leased
-	notBefore time.Time // re-queue backoff gate while pending
-	lastErr   string
-	scope     *obs.Scope // open while unresolved and at least once granted
-}
+// shard is a sweep shard as the job table holds it: the task ID is the
+// shard name, and it carries no data of its own.
+type shard = jobs.Task[struct{}]
 
-// Coordinator shards a sweep across workers: it serves the claim protocol,
-// enforces leases, journals every transition to the WAL, and funnels
-// outcomes into the Sink.
+// Coordinator shards a sweep across workers: it serves the claim
+// protocol over a leased job table and funnels outcomes into the Sink.
 type Coordinator struct {
 	cfg   Config
 	scope *obs.Scope
+	table *jobs.Table[struct{}]
 
 	mu     sync.Mutex
-	wal    *persist.Journal
-	shards map[string]*shardState
-	order  []string // canonical (display/snapshot) order
-	grants []string // claim-time order: LPT when WallHistory is known
-	seq    int      // lease sequence, monotone across restarts (replayed from WAL)
+	scopes map[string]*obs.Scope // per shard: open while unresolved and at least once granted
 
 	srv       *http.Server
-	ln        net.Listener
 	serveDone chan struct{} // closed when the Serve goroutine exits
 }
 
 // New opens (or, with cfg.Resume, replays) the WAL and returns a
-// coordinator ready to serve. Shards whose artifacts the Sink already
-// verifies are marked done up front — the distributed analogue of the
-// -resume skip.
+// coordinator ready to serve. Open leases come back with a fresh TTL, so a
+// surviving worker keeps renewing unaware of the outage. Shards whose
+// artifacts the Sink already verifies are done up front, the distributed
+// analogue of the -resume skip.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("dist: no shards to coordinate")
@@ -160,217 +119,159 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Sink == nil {
 		return nil, errors.New("dist: Config.Sink is required")
 	}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 30 * time.Second
+	}
+	if cfg.MaxAttempts <= 0 {
+		cfg.MaxAttempts = 3
+	}
+	if cfg.RetryDelay <= 0 {
+		cfg.RetryDelay = time.Second
+	}
+	cfg.Shards = append([]string(nil), cfg.Shards...) // canonical (display/snapshot) order
 	walPath := filepath.Join(cfg.OutDir, walName)
 	if !cfg.Resume {
 		if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
 	}
-	wal, records, err := persist.OpenJournal(walPath)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coordinator{
 		cfg:    cfg,
 		scope:  obs.NewScope("dist"),
-		wal:    wal,
-		shards: map[string]*shardState{},
-		order:  append([]string(nil), cfg.Shards...),
+		scopes: map[string]*obs.Scope{},
 	}
-	c.grants = buildClaimOrder(c.order, cfg.WallHistory)
-	for _, name := range c.order {
-		c.shards[name] = &shardState{name: name, state: StatePending}
-	}
-	if err := c.replay(records); err != nil {
-		_ = wal.Close()
+	table, err := jobs.Open(walPath, jobs.Options[struct{}]{
+		// The WAL says done, but the restarted sink has not seen the result
+		// — and the artifact could have vanished in the outage. Re-verify
+		// through the sink, which reloads the table for the final report
+		// on success; on failure the shard re-queues.
+		Verify: func(name, _ string) bool {
+			if cfg.Sink.Reusable(name) {
+				return true
+			}
+			c.logf("dist: shard %s done in the WAL but its artifact no longer verifies; re-queuing", name)
+			return false
+		},
+		Failed:      c.failed,
+		LeaseTTL:    cfg.LeaseTTL,
+		MaxAttempts: cfg.MaxAttempts,
+		RetryDelay:  cfg.RetryDelay,
+		Logf:        c.logf,
+	})
+	if err != nil {
 		c.scope.Close()
-		return nil, err
+		return nil, fmt.Errorf("dist: %w (run without -resume to start the sweep over)", err)
 	}
-	// Shards still pending after replay may already have verified artifacts
-	// (a prior sweep, or work that completed before a crash the WAL missed
-	// the tail of): skip them exactly like a single-process -resume would.
-	for _, name := range c.order {
-		s := c.shards[name]
-		if s.state == StatePending && cfg.Sink.Reusable(name) {
-			s.state = StateDone
-			c.logf("dist: shard %s reused (artifact verified)", name)
-			c.scope.Inc("dist.reused")
-		}
+	c.table = table
+	if err := c.recover(); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// replay rebuilds the shard state machine from WAL records. Leases found
-// still open are restored with a fresh TTL from restart time: a surviving
-// worker keeps renewing and never notices the outage; a dead worker's
-// restored lease expires on the normal schedule and the shard is re-queued.
-func (c *Coordinator) replay(records [][]byte) error {
-	for i, raw := range records {
-		var r walRecord
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return fmt.Errorf("dist: WAL record %d: %w", i+1, err)
-		}
-		s, ok := c.shards[r.Shard]
-		if !ok {
+// recover reconciles the replayed table with the shard list: it refuses a
+// WAL from a different sweep, repopulates the sink's poisoned set, and
+// accepts every shard the WAL does not know yet — done at once when the
+// Sink already verifies its artifact.
+func (c *Coordinator) recover() error {
+	replayed := 0
+	for _, s := range c.table.List() {
+		if !slices.Contains(c.cfg.Shards, s.ID) {
 			// A WAL written by a sweep over a different shard set: refuse
 			// rather than silently dropping assignment state.
-			return fmt.Errorf("dist: WAL names unknown shard %q (stale dist.json? run without -resume)", r.Shard)
+			return fmt.Errorf("dist: WAL names unknown shard %q (stale dist.json? run without -resume)", s.ID)
 		}
-		switch r.Kind {
-		case "grant":
-			s.state = StateLeased
-			s.worker, s.lease, s.attempts = r.Worker, r.Lease, r.Attempt
-			s.expiry = obs.Now().Add(c.cfg.leaseTTL())
-			c.seq++
-		case "complete":
-			s.state = StateDone
-			s.worker, s.lease = "", ""
-		case "fail":
-			s.state = StatePending
-			s.worker, s.lease = "", ""
-			if r.Attempt > 0 {
-				s.attempts = r.Attempt
-			}
-			s.lastErr = r.Error
-			s.notBefore = obs.Now().Add(c.requeueDelay(s.attempts))
-		case "poison":
-			s.state = StatePoisoned
-			s.worker, s.lease = "", ""
-			s.attempts, s.lastErr = r.Attempt, r.Error
-		default:
-			return fmt.Errorf("dist: WAL record %d: unknown kind %q", i+1, r.Kind)
-		}
-	}
-	replayed := 0
-	for _, name := range c.order {
-		s := c.shards[name]
-		switch s.state {
-		case StateLeased:
-			c.logf("dist: restored lease %s on %s (worker %s, fresh TTL)", s.lease, s.name, s.worker)
-			s.scope = c.scope.Child(s.name)
-			replayed++
-		case StatePoisoned:
+		switch s.State {
+		case jobs.Running:
+			c.logf("dist: restored lease %s on %s (worker %s, fresh TTL)", s.Lease, s.ID, s.Owner)
+			c.openScope(s.ID)
+		case jobs.Failed:
 			// Repopulate the sink's poisoned set so the final report still
 			// names the shard after a coordinator restart.
-			if err := c.cfg.Sink.CommitPoisoned(s.name, s.attempts, errors.New(s.lastErr)); err != nil {
+			if err := c.cfg.Sink.CommitPoisoned(s.ID, s.Attempts, errors.New(s.Err)); err != nil {
 				return err
 			}
-			replayed++
-		case StateDone:
-			// The WAL says done, but the restarted sink has not seen the
-			// result — and the artifact could have vanished in the outage.
-			// Re-verify through the sink, which reloads the table for the
-			// final report on success (the -resume skip path); on failure
-			// the shard re-queues rather than silently dropping out.
-			if c.cfg.Sink.Reusable(s.name) {
-				replayed++
-			} else {
-				s.state = StatePending
-				c.logf("dist: shard %s done in the WAL but its artifact no longer verifies; re-queuing", s.name)
-			}
+		case jobs.Queued:
+			continue
 		}
+		replayed++
 	}
 	if replayed > 0 {
 		c.logf("dist: WAL replayed %d resolved/in-flight shard(s)", replayed)
 	}
+	for _, name := range c.cfg.Shards {
+		// Grants go longest processing time first (LPT): shards with no
+		// recorded wall time outrank the rest, so their unknown cost starts
+		// early, and known shards rank by wall time, so the slowest never
+		// lands on the sweep's tail. Ties keep canonical (accept) order. A
+		// replayed shard is re-ranked from this run's history.
+		priority := math.MaxInt
+		if d, known := c.cfg.WallHistory[name]; known {
+			priority = int(d)
+		}
+		s, ok := c.table.Get(name)
+		if ok {
+			c.table.Reprioritize(name, priority)
+		} else {
+			var err error
+			if s, err = c.table.Accept(name, priority, struct{}{}, nil); err != nil {
+				return err
+			}
+		}
+		// A queued shard may already have a verified artifact (a prior
+		// sweep, or work that completed before a crash the WAL missed the
+		// tail of): skip it exactly like a single-process -resume would.
+		if s.State == jobs.Queued && c.cfg.Sink.Reusable(name) {
+			if err := c.table.Complete(name, "", 0, nil); err != nil {
+				return err
+			}
+			c.logf("dist: shard %s reused (artifact verified)", name)
+			c.scope.Inc("dist.reused")
+		}
+	}
 	return nil
 }
 
-// buildClaimOrder decides the order shards are granted in: shards with no
-// recorded wall time first, in canonical order (their cost is unknown, so
-// starting them early bounds the surprise), then known shards
-// longest-first — the classic LPT heuristic, which keeps the slowest
-// shard off the critical path of the sweep's tail.
-func buildClaimOrder(canonical []string, hist map[string]time.Duration) []string {
-	if len(hist) == 0 {
-		return append([]string(nil), canonical...)
-	}
-	var unknown, known []string
-	for _, name := range canonical {
-		if _, ok := hist[name]; ok {
-			known = append(known, name)
-		} else {
-			unknown = append(unknown, name)
-		}
-	}
-	sort.SliceStable(known, func(i, j int) bool { return hist[known[i]] > hist[known[j]] })
-	return append(unknown, known...)
-}
-
-// requeueDelay is the backoff before a shard that burned attempt n becomes
-// claimable again: RetryDelay * 2^(n-1), up to half of that again as
-// deterministic jitter, capped at 30s.
-func (c *Coordinator) requeueDelay(attempt int) time.Duration {
-	d := c.cfg.retryDelay()
-	for i := 1; i < attempt && d < 30*time.Second; i++ {
-		d *= 2
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d + time.Duration(jitterFrac(int64(attempt), int64(c.seq))*float64(d)/2)
-}
-
-// append journals one WAL record; the caller holds c.mu. An error means
-// the transition must not take effect.
-func (c *Coordinator) append(r walRecord) error {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return c.wal.Append(raw)
-}
-
-// expireLocked sweeps leases past their deadline; the caller holds c.mu.
-// An expired lease burns the attempt: the shard is re-queued with backoff
-// or poisoned once attempts are exhausted.
-func (c *Coordinator) expireLocked() {
-	now := obs.Now()
-	for _, name := range c.order {
-		s := c.shards[name]
-		if s.state != StateLeased || now.Before(s.expiry) {
-			continue
-		}
-		cause := fmt.Errorf("lease %s expired (worker %s stopped renewing)", s.lease, s.worker)
-		c.logf("dist: shard %s attempt %d: %v", s.name, s.attempts, cause)
+// failed records a burned attempt, a worker's failure report or a lapsed
+// lease, in the sink, and poisons the shard if that was its last. The
+// table runs it under its lock, in the same step as the transition, so
+// neither Wait nor a late upload sees the new state before the sink does;
+// both records are small manifest appends, not CSV merges.
+func (c *Coordinator) failed(s shard) {
+	if s.ErrKind == jobs.KindExpired {
 		c.scope.Inc("dist.expirations")
-		//lint:ignore lock-blocking expiry must burn the attempt atomically with the lease state under c.mu; failure records are small appends, not CSV merges
-		if err := c.cfg.Sink.CommitFailure(s.name, 0, cause, s.worker); err != nil {
-			c.logf("dist: recording expiry of %s: %v", s.name, err)
-		}
-		c.resolveAttemptLocked(s, cause)
+	} else {
+		c.scope.Inc("dist.failures")
+	}
+	c.logf("dist: shard %s attempt %d failed on %s: %s", s.ID, s.Attempts, s.Owner, s.Err)
+	if err := c.cfg.Sink.CommitFailure(s.ID, s.WallMS, errors.New(s.Err), s.Owner); err != nil {
+		c.logf("dist: recording failure of %s: %v", s.ID, err)
+	}
+	if s.State != jobs.Failed {
+		return
+	}
+	if err := c.cfg.Sink.CommitPoisoned(s.ID, s.Attempts, errors.New(s.Err)); err != nil {
+		c.logf("dist: poisoning %s: %v", s.ID, err)
+	}
+	c.closeScope(s.ID)
+	c.scope.Inc("dist.poisoned")
+	c.logf("dist: shard %s poisoned after %d attempt(s): %s", s.ID, s.Attempts, s.Err)
+}
+
+func (c *Coordinator) openScope(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.scopes[name] == nil {
+		c.scopes[name] = c.scope.Child(name)
 	}
 }
 
-// resolveAttemptLocked ends the current attempt in failure: re-queue with
-// backoff, or poison past the cap. The caller holds c.mu.
-func (c *Coordinator) resolveAttemptLocked(s *shardState, cause error) {
-	if s.attempts >= c.cfg.maxAttempts() {
-		//lint:ignore lock-blocking append-before-effect: poison/fail records must be durable before the transition they describe, atomically under the caller's c.mu
-		if err := c.append(walRecord{Kind: "poison", Shard: s.name, Attempt: s.attempts, Error: cause.Error()}); err != nil {
-			c.logf("dist: WAL poison %s: %v", s.name, err)
-			return
-		}
-		s.state = StatePoisoned
-		s.worker, s.lease = "", ""
-		s.lastErr = cause.Error()
-		if err := c.cfg.Sink.CommitPoisoned(s.name, s.attempts, cause); err != nil {
-			c.logf("dist: poisoning %s: %v", s.name, err)
-		}
-		s.scope.Close()
-		s.scope = nil
-		c.scope.Inc("dist.poisoned")
-		c.logf("dist: shard %s poisoned after %d attempt(s): %v", s.name, s.attempts, cause)
-		return
-	}
-	if err := c.append(walRecord{Kind: "fail", Shard: s.name, Attempt: s.attempts, Error: cause.Error()}); err != nil {
-		c.logf("dist: WAL fail %s: %v", s.name, err)
-		return
-	}
-	s.state = StatePending
-	s.worker, s.lease = "", ""
-	s.lastErr = cause.Error()
-	s.notBefore = obs.Now().Add(c.requeueDelay(s.attempts))
+func (c *Coordinator) closeScope(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scopes[name].Close()
+	delete(c.scopes, name)
 }
 
 // Handler returns the coordinator's HTTP API (bearer-token guarded when
@@ -428,110 +329,49 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 			c.cfg.ConfigHash, req.ConfigHash), http.StatusConflict)
 		return
 	}
-	resp, errMsg := c.claim(req)
-	if errMsg != "" {
-		http.Error(w, errMsg, http.StatusInternalServerError)
+	s, ok, err := c.table.Claim(req.Worker)
+	if err != nil {
+		http.Error(w, "journaling grant: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	reply(w, resp)
+	if !ok {
+		pending, next := c.table.Pending()
+		if pending == 0 {
+			reply(w, ClaimResponse{Status: ClaimDone})
+			return
+		}
+		retry := 500 * time.Millisecond
+		if !next.IsZero() {
+			retry = min(retry, next.Sub(obs.Now()))
+		}
+		reply(w, ClaimResponse{Status: ClaimWait, RetryMS: max(retry, 50*time.Millisecond).Milliseconds()})
+		return
+	}
+	c.openScope(s.ID)
+	c.scope.Inc("dist.claims")
+	c.logf("dist: shard %s -> worker %s (lease %s, attempt %d/%d)", s.ID, req.Worker, s.Lease, s.Attempts, c.cfg.MaxAttempts)
+	reply(w, ClaimResponse{
+		Status: ClaimShard, Shard: s.ID, Lease: s.Lease,
+		LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds(), Attempt: s.Attempts,
+	})
 }
 
-// claim runs the grant state machine under c.mu and returns the response
-// to send. The HTTP write happens in the handler after the lock is
-// released: a slow or stalled client must not hold up every other
-// worker's claim.
-func (c *Coordinator) claim(req ClaimRequest) (ClaimResponse, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	now := obs.Now()
-	unresolved := false
-	var nextEvent time.Time
-	for _, name := range c.grants {
-		s := c.shards[name]
-		switch s.state {
-		case StateDone, StatePoisoned:
-			continue
-		case StateLeased:
-			unresolved = true
-			if nextEvent.IsZero() || s.expiry.Before(nextEvent) {
-				nextEvent = s.expiry
-			}
-			continue
-		}
-		unresolved = true
-		if now.Before(s.notBefore) {
-			if nextEvent.IsZero() || s.notBefore.Before(nextEvent) {
-				nextEvent = s.notBefore
-			}
-			continue
-		}
-		// Grant: WAL first, then the in-memory transition. The lease id is
-		// derived from the NEXT sequence number; c.seq itself only advances
-		// once the record is durable, so a failed append leaves nothing to
-		// roll back.
-		lease := fmt.Sprintf("L%06d", c.seq+1)
-		attempt := s.attempts + 1
-		//lint:ignore lock-blocking append-before-effect: the grant record must be durable before the lease transition it describes, atomically under c.mu
-		if err := c.append(walRecord{Kind: "grant", Shard: s.name, Worker: req.Worker, Lease: lease, Attempt: attempt}); err != nil {
-			return ClaimResponse{}, "journaling grant: " + err.Error()
-		}
-		c.seq++
-		s.state = StateLeased
-		s.worker, s.lease, s.attempts = req.Worker, lease, attempt
-		s.expiry = now.Add(c.cfg.leaseTTL())
-		if s.scope == nil {
-			s.scope = c.scope.Child(s.name)
-		}
-		c.scope.Inc("dist.claims")
-		c.logf("dist: shard %s -> worker %s (lease %s, attempt %d/%d)", s.name, req.Worker, lease, attempt, c.cfg.maxAttempts())
-		return ClaimResponse{
-			Status: ClaimShard, Shard: s.name, Lease: lease,
-			LeaseTTLMS: c.cfg.leaseTTL().Milliseconds(), Attempt: attempt,
-		}, ""
-	}
-	if !unresolved {
-		return ClaimResponse{Status: ClaimDone}, ""
-	}
-	retry := 500 * time.Millisecond
-	if !nextEvent.IsZero() {
-		if d := nextEvent.Sub(now); d < retry {
-			retry = d
-		}
-	}
-	if retry < 50*time.Millisecond {
-		retry = 50 * time.Millisecond
-	}
-	return ClaimResponse{Status: ClaimWait, RetryMS: retry.Milliseconds()}, ""
-}
-
+// handleRenew extends a held lease. Renewals are in-memory only: a
+// restarted coordinator re-arms every open lease with a fresh TTL.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	reply(w, c.renew(req))
-}
-
-// renew extends a held lease under c.mu; the reply is written lock-free
-// in the handler.
-func (c *Coordinator) renew(req RenewRequest) RenewResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	s, ok := c.shards[req.Shard]
-	if !ok {
-		return RenewResponse{OK: false, Reason: "unknown shard"}
-	}
-	if s.state != StateLeased || s.lease != req.Lease {
+	if c.table.Renew(req.Shard, req.Lease) {
+		c.scope.Inc("dist.renewals")
+		reply(w, RenewResponse{OK: true})
+	} else if _, ok := c.table.Get(req.Shard); !ok {
+		reply(w, RenewResponse{Reason: "unknown shard"})
+	} else {
 		c.scope.Inc("dist.renewals_rejected")
-		return RenewResponse{OK: false, Reason: "lease not held (expired and reassigned, or shard resolved)"}
+		reply(w, RenewResponse{Reason: "lease not held (expired and reassigned, or shard resolved)"})
 	}
-	// Renewals are in-memory only: the WAL does not need them, because a
-	// restarted coordinator re-arms every open lease with a fresh TTL.
-	s.expiry = obs.Now().Add(c.cfg.leaseTTL())
-	c.scope.Inc("dist.renewals")
-	return RenewResponse{OK: true}
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -543,12 +383,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "config hash mismatch", http.StatusConflict)
 		return
 	}
-	// Phase 1, locked: validate the shard and capture lease freshness.
-	c.mu.Lock()
-	c.expireLocked()
-	s, ok := c.shards[req.Shard]
+	s, ok := c.table.Get(req.Shard)
 	if !ok {
-		c.mu.Unlock()
 		http.Error(w, "unknown shard "+req.Shard, http.StatusBadRequest)
 		return
 	}
@@ -557,38 +393,35 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// from an expired lease (or a retry after a lost response) merges
 	// last-write-wins instead of being dropped. That is what makes the
 	// half-open failure mode converge.
-	stale := s.state != StateLeased || s.lease != req.Lease || s.worker != req.Worker
-	c.mu.Unlock()
+	stale := s.State != jobs.Running || s.Lease != req.Lease || s.Owner != req.Worker
 
-	// Phase 2, unlocked: merge the upload. CommitResult fsyncs a
-	// potentially multi-megabyte CSV; under c.mu that one fsync would
-	// stall every claim, renew and expiry sweep for its duration. The Sink
-	// contract requires concurrent safety and the merge is
-	// last-write-wins, so two racing uploads of one shard converge in
-	// either order.
-	if err := c.cfg.Sink.CommitResult(req.Shard, req.Title, req.CSV, req.WallMS, req.Worker); err != nil {
+	// CommitResult fsyncs a potentially multi-megabyte CSV, so it runs
+	// outside every lock. The Sink contract requires concurrent safety and
+	// the merge is last-write-wins, so two racing uploads of one shard
+	// converge in either order.
+	commit := func() error {
+		return c.cfg.Sink.CommitResult(req.Shard, req.Title, req.CSV, req.WallMS, req.Worker)
+	}
+	if err := commit(); err != nil {
 		// Rejected (garbage CSV) or not durable: the shard stays unresolved.
 		http.Error(w, "committing result: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-
-	// Phase 3, locked again: journal the completion, then apply it. The
-	// shard may have changed state while unlocked (expiry, even poisoning);
-	// a durable verified result still wins — same convergence argument as
-	// the stale-upload path.
-	c.mu.Lock()
-	if s.state != StateDone {
-		//lint:ignore lock-blocking append-before-effect: the completion record must be durable before the transition it describes, atomically under c.mu
-		if err := c.append(walRecord{Kind: "complete", Shard: req.Shard, Worker: req.Worker, Lease: req.Lease}); err != nil {
-			c.mu.Unlock()
-			http.Error(w, "journaling completion: "+err.Error(), http.StatusInternalServerError)
-			return
+	// The shard may have changed state meanwhile (expiry, even poisoning);
+	// a durable verified result still wins. If an attempt failed since s,
+	// its sink records may postdate the result, so the result is committed
+	// again under the table lock: last, and before the shard turns done.
+	err := c.table.Complete(req.Shard, "", time.Duration(req.WallMS)*time.Millisecond, func(now shard) error {
+		if now.State == s.State && now.Attempts == s.Attempts {
+			return nil
 		}
+		return commit()
+	})
+	if err != nil {
+		http.Error(w, "journaling completion: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
-	s.state = StateDone
-	s.worker, s.lease, s.lastErr = "", "", ""
-	s.scope.Close()
-	s.scope = nil
+	c.closeScope(req.Shard)
 	c.scope.Inc("dist.completions")
 	if stale {
 		c.scope.Inc("dist.late_uploads")
@@ -596,67 +429,50 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	} else {
 		c.logf("dist: shard %s completed by %s (%dms)", req.Shard, req.Worker, req.WallMS)
 	}
-	c.mu.Unlock()
 	reply(w, CompleteResponse{OK: true, Stale: stale})
 }
 
+// handleFail burns the reported attempt: the shard re-queues with
+// backoff, or is poisoned once its attempts are exhausted.
 func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req FailRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	resp, errMsg := c.fail(req)
-	if errMsg != "" {
-		http.Error(w, errMsg, http.StatusBadRequest)
+	// The table hands a held claim's failure to c.failed. A report on a
+	// claim no longer held (expired or reassigned) is news from the past:
+	// acknowledged, and it changes nothing.
+	s, err := c.table.Fail(req.Shard, req.Lease, "", req.Error, time.Duration(req.WallMS)*time.Millisecond)
+	if s.ID == "" {
+		http.Error(w, "unknown shard "+req.Shard, http.StatusBadRequest)
 		return
 	}
-	reply(w, resp)
-}
-
-// fail burns the reported attempt under c.mu; the reply is written
-// lock-free in the handler.
-func (c *Coordinator) fail(req FailRequest) (FailResponse, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	s, ok := c.shards[req.Shard]
-	if !ok {
-		return FailResponse{}, "unknown shard " + req.Shard
+	if err != nil {
+		c.logf("dist: WAL fail %s: %v", req.Shard, err)
 	}
-	if s.state != StateLeased || s.lease != req.Lease {
-		// The attempt was already accounted (expiry or reassignment); this
-		// report is news from the past. Acknowledge and ignore.
-		return FailResponse{OK: true, Poisoned: s.state == StatePoisoned}, ""
-	}
-	cause := errors.New(req.Error)
-	c.scope.Inc("dist.failures")
-	c.logf("dist: shard %s attempt %d failed on %s: %v", s.name, s.attempts, req.Worker, cause)
-	//lint:ignore lock-blocking attempt accounting must stay atomic with the lease state under c.mu; failure records are small appends, not CSV merges
-	if err := c.cfg.Sink.CommitFailure(s.name, req.WallMS, cause, req.Worker); err != nil {
-		c.logf("dist: recording failure of %s: %v", s.name, err)
-	}
-	c.resolveAttemptLocked(s, cause)
-	return FailResponse{OK: true, Poisoned: s.state == StatePoisoned}, ""
+	reply(w, FailResponse{OK: true, Poisoned: s.State == jobs.Failed})
 }
 
 func (c *Coordinator) handleState(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	c.expireLocked()
-	resp := c.snapshotLocked()
-	c.mu.Unlock()
-	reply(w, resp)
+	reply(w, c.Snapshot())
 }
 
-func (c *Coordinator) snapshotLocked() StateResponse {
+// Snapshot returns the current shard states (the /v1/state body).
+func (c *Coordinator) Snapshot() StateResponse {
+	byName := map[string]shard{}
+	for _, s := range c.table.List() {
+		byName[s.ID] = s
+	}
 	now := obs.Now()
 	resp := StateResponse{Done: true, ConfigHash: c.cfg.ConfigHash}
-	for _, name := range c.order {
-		s := c.shards[name]
-		info := ShardInfo{Name: name, Status: s.state, Attempts: s.attempts, Worker: s.worker, Error: s.lastErr}
-		if s.state == StateLeased {
-			info.LeaseMSLeft = s.expiry.Sub(now).Milliseconds()
+	for _, name := range c.cfg.Shards {
+		s := byName[name]
+		info := ShardInfo{Name: name, Status: shardStatus[s.State], Attempts: s.Attempts, Error: s.Err}
+		if s.State == jobs.Running {
+			info.Worker = s.Owner
+			info.LeaseMSLeft = s.Expiry.Sub(now).Milliseconds()
 		}
-		if s.state != StateDone && s.state != StatePoisoned {
+		if s.State != jobs.Done && s.State != jobs.Failed {
 			resp.Done = false
 		}
 		resp.Shards = append(resp.Shards, info)
@@ -664,22 +480,12 @@ func (c *Coordinator) snapshotLocked() StateResponse {
 	return resp
 }
 
-// Snapshot returns the current shard states (the /v1/state body).
-func (c *Coordinator) Snapshot() StateResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked()
-	return c.snapshotLocked()
-}
-
 // Poisoned returns the shards the sweep has given up on, in canonical order.
 func (c *Coordinator) Poisoned() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var names []string
-	for _, name := range c.order {
-		if c.shards[name].state == StatePoisoned {
-			names = append(names, name)
+	for _, s := range c.Snapshot().Shards {
+		if s.Status == StatePoisoned {
+			names = append(names, s.Name)
 		}
 	}
 	return names
@@ -692,14 +498,13 @@ func (c *Coordinator) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.ln = ln
 	c.srv = &http.Server{Handler: c.Handler()}
 	c.serveDone = make(chan struct{})
 	go func(done chan struct{}) {
 		defer close(done)
 		_ = c.srv.Serve(ln)
 	}(c.serveDone)
-	c.logf("dist: coordinator serving on %s (%d shard(s), lease TTL %v)", ln.Addr(), len(c.order), c.cfg.leaseTTL())
+	c.logf("dist: coordinator serving on %s (%d shard(s), lease TTL %v)", ln.Addr(), len(c.cfg.Shards), c.cfg.LeaseTTL)
 	return ln.Addr().String(), nil
 }
 
@@ -707,39 +512,12 @@ func (c *Coordinator) Start(addr string) (string, error) {
 // cancelled, expiring leases as it goes so progress does not depend on
 // worker traffic.
 func (c *Coordinator) Wait(ctx context.Context) error {
-	tick := c.cfg.leaseTTL() / 4
-	if tick > time.Second {
-		tick = time.Second
-	}
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		c.mu.Lock()
-		c.expireLocked()
-		resolved := true
-		for _, s := range c.shards {
-			if s.state != StateDone && s.state != StatePoisoned {
-				resolved = false
-				break
-			}
-		}
-		c.mu.Unlock()
-		if resolved {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
+	tick := min(max(c.cfg.LeaseTTL/4, 10*time.Millisecond), time.Second)
+	return c.table.Wait(ctx, tick)
 }
 
-// Close stops the server (if started), closes the WAL, and closes the
-// coordinator's telemetry scopes. Committed state is already durable; a
+// Close stops the server (if started), closes the coordinator's telemetry
+// scopes, and closes the WAL. Committed state is already durable; a
 // coordinator that dies without Close loses nothing the WAL has not
 // recorded.
 func (c *Coordinator) Close() {
@@ -749,14 +527,13 @@ func (c *Coordinator) Close() {
 		<-c.serveDone
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.shards {
-		s.scope.Close()
-		s.scope = nil
+	for name, s := range c.scopes {
+		s.Close()
+		delete(c.scopes, name)
 	}
+	c.mu.Unlock()
 	c.scope.Close()
-	//lint:ignore lock-blocking shutdown path: the server is stopped and its goroutine joined, so the final WAL close convoys nothing
-	_ = c.wal.Close()
+	_ = c.table.Close()
 }
 
 func (c *Coordinator) logf(format string, args ...any) {

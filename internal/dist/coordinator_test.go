@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"graphio/internal/obs"
+	"graphio/internal/persist"
 )
 
 // memSink records Sink calls in memory — the coordinator's contract under
@@ -100,14 +102,14 @@ func (s *memSink) poisonedAttempts(name string) (int, bool) {
 	return n, ok
 }
 
-// forceExpire backdates a live lease so the next request expires it —
-// deterministic lease loss without waiting out a real TTL.
-func (c *Coordinator) forceExpire(shard string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.shards[shard]; s != nil && s.state == StateLeased {
-		s.expiry = obs.Now().Add(-time.Second)
-	}
+// expireLeases moves the clock past every live lease's deadline so the
+// next request expires them — deterministic lease loss without waiting
+// out a real TTL. The clock stays moved for the rest of the test.
+func expireLeases(t *testing.T, c *Coordinator) {
+	t.Helper()
+	skew := c.cfg.LeaseTTL + time.Second
+	obs.SetClock(func() time.Time { return time.Now().Add(skew) })
+	t.Cleanup(func() { obs.SetClock(nil) })
 }
 
 // postJSON posts body to url and decodes a 200 response into into.
@@ -287,7 +289,7 @@ func TestCoordinatorExpiredLeaseIsReassigned(t *testing.T) {
 	obs.Enable(true)
 	defer obs.Enable(false)
 	first := claimUntilShard(t, url, "w1", "h")
-	c.forceExpire("alpha")
+	expireLeases(t, c)
 	second := claimUntilShard(t, url, "w2", "h")
 	if second.Attempt != 2 || second.Lease == first.Lease {
 		t.Fatalf("reassigned grant = %+v, want attempt 2 under a new lease", second)
@@ -317,7 +319,7 @@ func TestCoordinatorLateUploadMergesLastWriteWins(t *testing.T) {
 	obs.Enable(true)
 	defer obs.Enable(false)
 	first := claimUntilShard(t, url, "w1", "h")
-	c.forceExpire("alpha")
+	expireLeases(t, c)
 	second := claimUntilShard(t, url, "w2", "h")
 	var done CompleteResponse
 	if _, err := postJSON(t, url+PathComplete, CompleteRequest{
@@ -439,6 +441,34 @@ func TestCoordinatorFreshStartDiscardsWAL(t *testing.T) {
 		t.Fatalf("fresh-start grant attempt = %d, want 1", claim.Attempt)
 	}
 	_ = c2
+}
+
+// A dist.json in the older record format (one grant, complete, fail or
+// poison record per transition, keyed by "shard", as the coordinator
+// wrote before it ran on internal/jobs) must be refused on -resume,
+// naming the file, rather than misread.
+func TestCoordinatorRefusesOldFormatWAL(t *testing.T) {
+	outDir := t.TempDir()
+	var old bytes.Buffer
+	for _, rec := range []string{
+		`{"kind":"grant","shard":"alpha","worker":"w1","lease":"L000001","attempt":1}`,
+		`{"kind":"complete","shard":"alpha","worker":"w1","lease":"L000001"}`,
+		`{"kind":"grant","shard":"beta","worker":"w1","lease":"L000002","attempt":1}`,
+	} {
+		frame, err := persist.FrameRecord([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Write(frame)
+	}
+	path := filepath.Join(outDir, walName)
+	if err := persist.WriteFileAtomic(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Shards: []string{"alpha", "beta"}, ConfigHash: "h", Sink: newMemSink(), OutDir: outDir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("-resume on an old-format dist.json = %v, want an error naming %s", err, path)
+	}
 }
 
 func TestCoordinatorSkipsReusableShards(t *testing.T) {

@@ -55,20 +55,6 @@ type WorkerConfig struct {
 	Log io.Writer
 }
 
-func (c WorkerConfig) pollDelay() time.Duration {
-	if c.PollDelay > 0 {
-		return c.PollDelay
-	}
-	return 200 * time.Millisecond
-}
-
-func (c WorkerConfig) maxIdle() time.Duration {
-	if c.MaxIdle > 0 {
-		return c.MaxIdle
-	}
-	return 2 * time.Minute
-}
-
 // errLeaseLost cancels a shard run whose lease the coordinator no longer
 // honours; the worker abandons the run silently (the coordinator has
 // already burned the attempt and re-queued the shard).
@@ -89,6 +75,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Run == nil && !cfg.StallAfterClaim {
 		return errors.New("dist: WorkerConfig.Run is required")
 	}
+	if cfg.PollDelay <= 0 {
+		cfg.PollDelay = 200 * time.Millisecond
+	}
+	if cfg.MaxIdle <= 0 {
+		cfg.MaxIdle = 2 * time.Minute
+	}
 	w := &worker{cfg: cfg, client: cfg.Client}
 	if w.client == nil {
 		w.client = &http.Client{}
@@ -108,7 +100,7 @@ type worker struct {
 }
 
 func (w *worker) run(ctx context.Context) error {
-	claimBackoff := newBackoff(w.cfg.ID, w.cfg.pollDelay(), 5*time.Second)
+	claimBackoff := newBackoff(w.cfg.ID, w.cfg.PollDelay, 5*time.Second)
 	var unreachableSince time.Time
 	for {
 		if err := ctx.Err(); err != nil {
@@ -125,8 +117,8 @@ func (w *worker) run(ctx context.Context) error {
 			// and retry until MaxIdle says it is gone for good.
 			if unreachableSince.IsZero() {
 				unreachableSince = obs.Now()
-			} else if obs.Since(unreachableSince) > w.cfg.maxIdle() {
-				return fmt.Errorf("dist: worker %s: coordinator unreachable for %v: %w", w.cfg.ID, w.cfg.maxIdle(), err)
+			} else if obs.Since(unreachableSince) > w.cfg.MaxIdle {
+				return fmt.Errorf("dist: worker %s: coordinator unreachable for %v: %w", w.cfg.ID, w.cfg.MaxIdle, err)
 			}
 			w.scope.Inc("dist.worker.claim_errors")
 			w.logf("dist: worker %s: claim failed (%v), retrying", w.cfg.ID, err)
@@ -144,7 +136,7 @@ func (w *worker) run(ctx context.Context) error {
 		case ClaimWait:
 			delay := time.Duration(resp.RetryMS) * time.Millisecond
 			if delay <= 0 {
-				delay = w.cfg.pollDelay()
+				delay = w.cfg.PollDelay
 			}
 			if err := sleepCtx(ctx, delay); err != nil {
 				return err
@@ -319,7 +311,7 @@ func (w *worker) post(ctx context.Context, path string, body, into any) error {
 // postRetry is post with capped retries for transient failures — the
 // upload path, where a lost response must not lose the result.
 func (w *worker) postRetry(ctx context.Context, path string, body, into any) error {
-	b := newBackoff(w.cfg.ID+path, w.cfg.pollDelay(), 2*time.Second)
+	b := newBackoff(w.cfg.ID+path, w.cfg.PollDelay, 2*time.Second)
 	const attempts = 5
 	var last error
 	for i := 0; i < attempts; i++ {

@@ -101,7 +101,7 @@ func TestWorkerAbandonsLostLeaseThenRetries(t *testing.T) {
 		})
 	}()
 	<-started
-	c.forceExpire("alpha") // the next renewal discovers the loss
+	expireLeases(t, c) // the next renewal discovers the loss
 	select {
 	case err := <-done:
 		if err != nil {

@@ -3,16 +3,18 @@
 // "fft:10"), enqueues spectral lower-bound jobs, and serves results
 // asynchronously — engineered for failure first.
 //
-// Durability. Every job is journaled to a WAL (persist.Journal,
-// append-before-effect) before it is admitted, and every terminal
-// transition (done, failed, shed) is journaled before it takes effect, so
-// a daemon SIGKILLed at any instant restarts into a state it had durably
-// announced: jobs accepted but unresolved are re-queued and finish after
-// the restart. Results are content-addressed artifacts keyed by a stable
-// hash over the result-affecting job fields — graph content, M, MaxK,
-// solver — in the style of experiments.Config.Hash, committed atomically
-// and verified by SHA-256 on replay, so a re-submitted identical request
-// is served from the cache with bytes identical to the pre-crash run.
+// Durability. Jobs live in an internal/jobs task table journaled to
+// jobs.jsonl in the data dir: every job is journaled before it is
+// admitted and every terminal transition (done, failed, shed) before it
+// takes effect, so a daemon SIGKILLed at any instant restarts into a
+// state it had durably announced, and jobs accepted but unresolved run
+// again. A worker's claim is local and unjournaled, and a failure is
+// final (an attempt cap of 1). Results are content-addressed artifacts
+// keyed by a stable hash over the result-affecting job fields — graph
+// content, M, MaxK, solver — in the style of experiments.Config.Hash,
+// committed atomically and verified by SHA-256 on replay, so a
+// re-submitted identical request is served from the cache with bytes
+// identical to the pre-crash run.
 //
 // Degradation. Jobs run under per-job deadlines on a bounded worker pool;
 // a stalled eigensolve hits its deadline and resolves as a typed
@@ -28,8 +30,7 @@
 //
 // Bounded state. Result keys are validated against the SHA-256 hex shape
 // before they ever form a filesystem path, terminal job rows beyond a
-// retention cap are pruned (their cached artifacts survive), and the WAL
-// periodically compacts to live state — result-cache index, retained
-// jobs, ID counter — so replay time and memory track live work, not the
-// daemon's lifetime job count.
+// retention cap are pruned (their cached artifacts survive), and the job
+// table compacts its WAL to live state, so replay time and memory track
+// live work, not the daemon's lifetime job count.
 package graphiod

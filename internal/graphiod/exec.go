@@ -88,15 +88,17 @@ func runMethod(ctx context.Context, g *graph.Graph, spec jobSpec, method string,
 // the terminal transition. baseCtx is the worker pool's lifetime; when it
 // dies mid-job the job is deliberately left non-terminal so the WAL replays
 // it after restart.
-func (srv *Server) runJob(baseCtx context.Context, j *job) {
-	jctx, cancel := context.WithTimeout(baseCtx, j.Timeout)
+func (srv *Server) runJob(baseCtx context.Context, j job) {
+	timeout := time.Duration(j.Data.TimeoutMS) * time.Millisecond
+	jctx, cancel := context.WithTimeout(baseCtx, timeout)
 	defer cancel()
 	scope := srv.scope.Child(j.ID)
 	defer scope.Close()
 	jctx = obs.WithScope(jctx, scope)
 
 	start := obs.Now()
-	g, err := srv.resolveGraph(j.Spec)
+	spec := j.Data.Spec
+	g, err := srv.resolveGraph(spec)
 	if err != nil {
 		srv.finishJob(baseCtx, j, KindInput, err.Error(), obs.Since(start))
 		return
@@ -110,8 +112,8 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 
 	art := Artifact{
 		Key:  j.Key,
-		Spec: j.Spec.Spec, GraphSHA: j.Spec.GraphSHA,
-		N: g.N(), M: j.Spec.M, MaxK: j.Spec.MaxK, Solver: j.Spec.Solver,
+		Spec: spec.Spec, GraphSHA: spec.GraphSHA,
+		N: g.N(), M: spec.M, MaxK: spec.MaxK, Solver: spec.Solver,
 	}
 	// Fixed method order keeps the artifact bytes stable run to run.
 	// truncated marks a method the deadline (or shutdown) actually cut
@@ -119,7 +121,7 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 	// discard that method's finished work, so expiry alone is not enough.
 	truncated := false
 	for _, method := range []string{"theorem4", "theorem5"} {
-		mr := runMethod(jctx, g, j.Spec, method, wrap)
+		mr := runMethod(jctx, g, spec, method, wrap)
 		if jctx.Err() != nil && mr.Error != "" {
 			// The clock ran out mid-method; its result certifies nothing
 			// and partial artifacts are never committed.
@@ -144,7 +146,7 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 			return
 		}
 		srv.finishJob(baseCtx, j, KindDeadline,
-			fmt.Sprintf("job exceeded its %v deadline (solver stalled or graph too large for the budget)", j.Timeout), wall)
+			fmt.Sprintf("job exceeded its %v deadline (solver stalled or graph too large for the budget)", timeout), wall)
 		return
 	}
 	if art.Best.Method == "" {
@@ -169,7 +171,7 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 		srv.finishJob(baseCtx, j, KindInternal, err.Error(), wall)
 		return
 	}
-	if err := srv.store.complete(j, sha, wall); err != nil {
+	if err := srv.store.jobs.Complete(j.ID, sha, wall, nil); err != nil {
 		srv.log("job %s: journal done record: %v", j.ID, err)
 		return
 	}
@@ -179,12 +181,12 @@ func (srv *Server) runJob(baseCtx context.Context, j *job) {
 }
 
 // finishJob journals a typed failure and records it in the metrics.
-func (srv *Server) finishJob(baseCtx context.Context, j *job, kind, msg string, wall time.Duration) {
+func (srv *Server) finishJob(baseCtx context.Context, j job, kind, msg string, wall time.Duration) {
 	if baseCtx.Err() != nil && kind != KindDeadline {
 		// Don't journal failures caused by our own shutdown.
 		return
 	}
-	if err := srv.store.fail(j, kind, msg, wall); err != nil {
+	if _, err := srv.store.jobs.Fail(j.ID, "", kind, msg, wall); err != nil {
 		srv.log("job %s: journal fail record: %v", j.ID, err)
 		return
 	}

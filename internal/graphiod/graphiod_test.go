@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -409,8 +410,9 @@ func TestTornWALTailIsTolerated(t *testing.T) {
 	}
 }
 
-// A CRC-valid record that is not a walRecord means a writer bug, not a torn
-// tail; the daemon must refuse to open rather than guess at queue state.
+// A CRC-valid record that is not a job-table record means a writer bug,
+// not a torn tail; the daemon must refuse to open rather than guess at
+// queue state.
 func TestCorruptWALRecordRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
 	srv1, _ := newTestServer(t, Config{DataDir: dir, Workers: 1})
@@ -722,87 +724,6 @@ func TestResultKeyTraversalRejected(t *testing.T) {
 	}
 }
 
-// freshLimits returns admission caps high enough to never trip, for tests
-// exercising other store behavior.
-func freshLimits() admitLimits {
-	return admitLimits{ClientInFlight: 1 << 20, HostInFlight: 1 << 20, QueueCap: 1 << 20}
-}
-
-// The WAL and the job table must stay proportional to live state, not to
-// every job ever accepted: terminal jobs past the retention cap are pruned,
-// the journal compacts after enough appends, and a compacted journal still
-// replays the result cache and never reissues a pruned job's ID.
-func TestWALCompactionBoundsJournalAndJobTable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := openStore(dir, 4, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.compactEvery = 8
-	spec := jobSpec{V: 1, Spec: "chain:4", M: 2, MaxK: 1, Solver: "dense"}
-	artifact := []byte(`{"fake":"artifact"}`)
-	var lastID string
-	for i := 0; i < 50; i++ {
-		j, _, err := s.accept(spec, 0, "c", "h", time.Second, freshLimits())
-		if err != nil {
-			t.Fatalf("accept %d: %v", i, err)
-		}
-		lastID = j.ID
-		if j.Cached {
-			continue
-		}
-		if got := s.next(); got == nil || got.ID != j.ID {
-			t.Fatalf("accept %d: job not queued", i)
-		}
-		sha, err := s.commitArtifact(j.Key, artifact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.complete(j, sha, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(s.list()); n > 4 {
-		t.Fatalf("job table holds %d terminal jobs, want ≤ retain (4)", n)
-	}
-	recs, err := persist.ReadJournal(walPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Live state is ~10 records (meta + 1 result + ≤4 jobs × 2); anything
-	// near the 100 appends means compaction never ran.
-	if len(recs) > s.liveRecordsLocked()+s.compactEvery {
-		t.Fatalf("WAL holds %d records after 50 jobs, want ≤ live+compactEvery (%d)", len(recs), s.liveRecordsLocked()+s.compactEvery)
-	}
-	wantSHA, ok := s.cachedSHA(spec.Key())
-	if !ok {
-		t.Fatal("result cache lost the completed key")
-	}
-	s.close()
-
-	// Reopen: the compacted journal must replay the cache (resubmission is
-	// an immediate hit) and the meta record must keep IDs monotonic even
-	// though every prior job row was pruned.
-	s2, err := openStore(dir, 4, t.Logf)
-	if err != nil {
-		t.Fatalf("reopen compacted WAL: %v", err)
-	}
-	defer s2.close()
-	if sha, ok := s2.cachedSHA(spec.Key()); !ok || sha != wantSHA {
-		t.Fatalf("reopened cache = %q, %v; want %q", sha, ok, wantSHA)
-	}
-	j, _, err := s2.accept(spec, 0, "c", "h", time.Second, freshLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.Cached {
-		t.Fatalf("resubmit after reopen = %+v, want cache hit", j)
-	}
-	if j.ID <= lastID {
-		t.Fatalf("job ID %s reissued at or below pruned ID %s; meta record lost the counter", j.ID, lastID)
-	}
-}
-
 // Admission caps are enforced atomically with acceptance: N racing
 // submissions against a queue with room for one must admit exactly one.
 func TestAdmissionAtomicUnderConcurrency(t *testing.T) {
@@ -820,7 +741,7 @@ func TestAdmissionAtomicUnderConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			spec := jobSpec{V: 1, Spec: fmt.Sprintf("chain:%d", i+2), M: 2, MaxK: 1, Solver: "dense"}
-			if _, _, err := s.accept(spec, 0, "c", "h", time.Second, lim); err == nil {
+			if _, err := s.accept(spec, 0, "c", "h", time.Second, lim); err == nil {
 				admitted.Add(1)
 			} else {
 				rejected.Add(1)
@@ -859,5 +780,77 @@ func TestDataDirLockIsExclusive(t *testing.T) {
 	defer srv1.Close()
 	if _, err := New(Config{DataDir: dir}); err == nil {
 		t.Fatal("second daemon opened an already-locked data dir")
+	}
+}
+
+// A data dir whose WAL predates internal/jobs must replay unchanged.
+// testdata/parentwal was written by cmd/graphiod built at commit e72e6c8,
+// run as `graphiod -workers 1 -retain-jobs 4`: it took two fresh jobs, 40
+// resubmissions of one of them (cache hits), a job failed by
+// -timeout-ms 1 and one more fresh job, then a SIGTERM; the restart
+// compacted the WAL into meta and result records; one more fresh job and
+// one more hit followed, and a final SIGTERM. want.json is that daemon's
+// own replay of the directory: its job rows, result index and next ID.
+func TestParentWALReplays(t *testing.T) {
+	dir := t.TempDir()
+	src := "testdata/parentwal"
+	entries, err := os.ReadDir(src + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(resultsDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copyFile(t, src+"/jobs.jsonl", walPath(dir))
+	for _, e := range entries {
+		copyFile(t, src+"/results/"+e.Name(), resultsDir(dir)+"/"+e.Name())
+	}
+	raw, err := os.ReadFile(src + "/want.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Jobs    []JobInfo         `json:"jobs"`
+		Results map[string]string `json:"results"`
+		NextID  int               `json:"next_id"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, url := newTestServer(t, Config{DataDir: dir, Workers: 1, RetainJobs: 4})
+	if got := srv.store.list(); !reflect.DeepEqual(got, want.Jobs) {
+		t.Fatalf("replayed job rows:\n%+v\nwant:\n%+v", got, want.Jobs)
+	}
+	// Every result-index entry is a cache hit with its artifact hash, and
+	// the first new job takes the next ID.
+	specs := []JobRequest{
+		{Spec: "chain:16", M: 4, MaxK: 2, Solver: "dense"},
+		{Spec: "fft:4", M: 8, MaxK: 8, Solver: "dense"},
+		{Spec: "bhk:5", M: 2, MaxK: 4, Solver: "dense"},
+		{Spec: "fft:3", M: 4, MaxK: 4, Solver: "dense"},
+	}
+	if len(specs) != len(want.Results) {
+		t.Fatalf("want.json indexes %d results, the test resubmits %d", len(want.Results), len(specs))
+	}
+	for i, req := range specs {
+		hit := submit(t, url, req, http.StatusOK)
+		if !hit.Cached || hit.ArtifactSHA == "" || hit.ArtifactSHA != want.Results[hit.Key] {
+			t.Errorf("resubmit %s = %+v, want a cache hit on %q", req.Spec, hit.JobInfo, want.Results[hit.Key])
+		}
+		if wantID := fmt.Sprintf("j%06d", want.NextID+i); hit.ID != wantID {
+			t.Errorf("resubmit %s got ID %s, want %s", req.Spec, hit.ID, wantID)
+		}
+	}
+}
+
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	data, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteFileAtomic(to, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

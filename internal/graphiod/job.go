@@ -5,23 +5,24 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"graphio/internal/gen"
 	"graphio/internal/graph"
+	"graphio/internal/jobs"
 )
 
 // Job states. A job is terminal in StateDone, StateFailed, or StateShed;
 // failures carry a typed kind (deadline, solver, input, ...) so clients
 // can branch without parsing messages.
 const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
-	StateShed    = "shed"
+	StateQueued  = jobs.Queued
+	StateRunning = jobs.Running
+	StateDone    = jobs.Done
+	StateFailed  = jobs.Failed
+	StateShed    = jobs.Shed
 )
 
 // Failure kinds for StateFailed.
@@ -85,7 +86,8 @@ func ParseSpec(spec string, maxVertices int) (string, error) {
 		for n := range specGens {
 			names = append(names, n)
 		}
-		return "", &SpecError{Spec: spec, Reason: "unknown generator (have " + strings.Join(sortedStrings(names), ", ") + ")"}
+		slices.Sort(names)
+		return "", &SpecError{Spec: spec, Reason: "unknown generator (have " + strings.Join(names, ", ") + ")"}
 	}
 	size, err := strconv.Atoi(sizeStr)
 	if err != nil {
@@ -175,30 +177,7 @@ func (s jobSpec) Key() string {
 		// stale artifact (same posture as Config.Hash).
 		return "unhashable"
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// job is one admitted request and its lifecycle.
-type job struct {
-	ID       string
-	Key      string
-	Spec     jobSpec
-	Priority int
-	Client   string
-	// Host is the submitter's remote address, kept separately from the
-	// request-supplied Client so per-address admission caps cannot be
-	// dodged by varying the client string.
-	Host    string
-	Timeout time.Duration
-	seq     int // admission order; FIFO tiebreak within a priority
-
-	State       string
-	Cached      bool
-	ErrKind     string
-	ErrMsg      string
-	ArtifactSHA string
-	WallMS      int64
+	return sha256Hex(b)
 }
 
 // JobInfo is a job's wire representation (GET /v1/jobs responses).
@@ -231,30 +210,22 @@ type Fault struct {
 	Limit int64 `json:"limit,omitempty"`
 }
 
-func (j *job) info() JobInfo {
+func jobInfo(j job) JobInfo {
+	spec := j.Data.Spec
 	info := JobInfo{
 		ID: j.ID, Key: j.Key,
-		Spec: j.Spec.Spec, GraphSHA: j.Spec.GraphSHA,
-		M: j.Spec.M, MaxK: j.Spec.MaxK, Solver: j.Spec.Solver,
-		Priority: j.Priority, Client: j.Client,
-		Status: j.State, Cached: j.Cached, ArtifactSHA: j.ArtifactSHA, WallMS: j.WallMS,
+		Spec: spec.Spec, GraphSHA: spec.GraphSHA,
+		M: spec.M, MaxK: spec.MaxK, Solver: spec.Solver,
+		Priority: j.Priority, Client: j.Data.Client,
+		Status: j.State, Cached: j.Cached, ArtifactSHA: j.Result, WallMS: j.WallMS,
 	}
 	if j.State == StateFailed {
-		info.Error = &Fault{Kind: j.ErrKind, Message: j.ErrMsg}
+		info.Error = &Fault{Kind: j.ErrKind, Message: j.Err}
 	}
 	if j.State == StateShed {
 		info.Error = &Fault{Kind: "shed", Message: "dropped under memory pressure; resubmit when the daemon has headroom"}
 	}
 	return info
-}
-
-func sortedStrings(s []string) []string {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s
 }
 
 func sha256Hex(b []byte) string {
@@ -267,14 +238,5 @@ func sha256Hex(b []byte) string {
 // client-supplied key into a filesystem path must check this first — a key
 // like "../secrets" would otherwise escape the data dir via filepath.Join.
 func isContentKey(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return len(s) == 64 && strings.Trim(s, "0123456789abcdef") == ""
 }

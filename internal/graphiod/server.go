@@ -139,7 +139,6 @@ type Server struct {
 	draining atomic.Bool
 
 	httpSrv   *http.Server
-	ln        net.Listener
 	serveDone chan struct{} // closed when the Serve goroutine exits
 }
 
@@ -240,12 +239,13 @@ func (srv *Server) worker() {
 		}
 		for srv.dispatch.Err() == nil {
 			srv.shedUnderPressure()
-			j := srv.store.next()
-			if j == nil {
+			// A claim without a lease TTL is never journaled, so it cannot fail.
+			j, ok, _ := srv.store.jobs.Claim("")
+			if !ok {
 				break
 			}
 			srv.wakeWorkers() // let an idle sibling grab the next queued job
-			srv.scope.SetGauge("serve.queue_depth", float64(srv.store.depth()))
+			srv.scope.SetGauge("serve.queue_depth", float64(srv.store.jobs.Queued()))
 			srv.runJob(srv.hard, j)
 		}
 	}
@@ -264,12 +264,11 @@ func (srv *Server) shedUnderPressure() {
 	if srv.cfg.MemSoftLimit <= 0 || srv.cfg.MemUsage() <= srv.cfg.MemSoftLimit {
 		return
 	}
-	j, err := srv.store.shedLowest()
+	j, ok, err := srv.store.jobs.ShedLowest()
 	if err != nil {
 		srv.log("shed: %v", err)
-		return
 	}
-	if j == nil {
+	if !ok {
 		return
 	}
 	srv.scope.Inc("serve.jobs.shed")
@@ -318,7 +317,6 @@ func (srv *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("graphiod: listen: %w", err)
 	}
-	srv.ln = ln
 	srv.httpSrv = &http.Server{Handler: srv.Handler()}
 	srv.serveDone = make(chan struct{})
 	go func(done chan struct{}) {
@@ -413,16 +411,14 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if timeout > srv.cfg.MaxTimeout {
-		timeout = srv.cfg.MaxTimeout
-	}
+	timeout = min(timeout, srv.cfg.MaxTimeout)
 
 	// Shedding gets a chance to free room, then admission control runs
 	// atomically with the acceptance inside store.accept — the caps and
 	// the accept share one lock acquisition, so concurrent submissions
 	// cannot collectively overshoot them.
 	srv.shedUnderPressure()
-	_, info, err := srv.store.accept(*spec, req.Priority, client, host, timeout, admitLimits{
+	j, err := srv.store.accept(*spec, req.Priority, client, host, timeout, admitLimits{
 		ClientInFlight: srv.cfg.ClientInFlight,
 		HostInFlight:   srv.cfg.HostInFlight,
 		QueueCap:       srv.cfg.QueueCap,
@@ -437,7 +433,8 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	srv.scope.Inc("serve.jobs.accepted")
-	srv.scope.SetGauge("serve.queue_depth", float64(srv.store.depth()))
+	srv.scope.SetGauge("serve.queue_depth", float64(srv.store.jobs.Queued()))
+	info := jobInfo(j)
 	resp := SubmitResponse{JobInfo: info}
 	status := http.StatusAccepted
 	if info.Cached {
@@ -532,15 +529,9 @@ func (srv *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 
 func (srv *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	// The {key} segment arrives percent-decoded, so a crafted request can
-	// put "../" in it; only the SHA-256 hex shape real keys have may reach
-	// the filesystem (readArtifact checks too — this keeps the rejection a
-	// clean 404 rather than relying on the error path).
-	key := r.PathValue("key")
-	if !isContentKey(key) {
-		srv.writeFault(w, http.StatusNotFound, Fault{Kind: "not_found", Message: "no artifact for that key"}, 0)
-		return
-	}
-	data, err := srv.store.readArtifact(key)
+	// put "../" in it; readArtifact lets only the SHA-256 hex shape real
+	// keys have reach the filesystem, and anything else is a 404 here.
+	data, err := srv.store.readArtifact(r.PathValue("key"))
 	if err != nil {
 		srv.writeFault(w, http.StatusNotFound, Fault{Kind: "not_found", Message: "no artifact for that key"}, 0)
 		return

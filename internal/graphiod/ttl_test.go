@@ -50,15 +50,32 @@ func TestSweepArtifactsTTL(t *testing.T) {
 	oldOrphan := plantArtifact(t, dir, "old-orphan", 48*time.Hour)
 	freshOrphan := plantArtifact(t, dir, "fresh-orphan", 0)
 
-	st, err := openStore(dir, 0, t.Logf)
+	st, err := openStore(dir, 1, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
-	// A cache entry for the old orphan must be evicted along with the file.
-	st.mu.Lock()
-	st.results[oldOrphan] = "whatever"
-	st.mu.Unlock()
+	// A cached result whose job row retention pruned: its cache entry must
+	// be evicted along with the file, or a resubmission would hit an
+	// artifact that is gone.
+	pruned := jobSpec{V: 1, Spec: "chain:4", M: 2, MaxK: 1, Solver: "dense"}
+	for _, spec := range []jobSpec{pruned, {V: 1, Spec: "chain:5", M: 2, MaxK: 1, Solver: "dense"}} {
+		if _, err := st.accept(spec, 0, "c", "h", time.Second, admitLimits{}); err != nil {
+			t.Fatal(err)
+		}
+		j, _, _ := st.jobs.Claim("")
+		sha, err := st.commitArtifact(j.Key, []byte(`{"spec":"`+spec.Spec+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.jobs.Complete(j.ID, sha, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(artifactPath(dir, pruned.Key()), old, old); err != nil {
+		t.Fatal(err)
+	}
 
 	if removed, err := st.sweepArtifacts(0); err != nil || removed != 0 {
 		t.Fatalf("sweep with ttl 0 = (%d, %v), want a no-op", removed, err)
@@ -67,20 +84,17 @@ func TestSweepArtifactsTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
-		t.Errorf("sweep removed %d artifact(s), want 1", removed)
+	if removed != 2 {
+		t.Errorf("sweep removed %d artifact(s), want 2", removed)
 	}
-	if artifactExists(t, dir, oldOrphan) {
-		t.Error("expired orphan artifact survived the sweep")
+	if artifactExists(t, dir, oldOrphan) || artifactExists(t, dir, pruned.Key()) {
+		t.Error("expired unpinned artifact survived the sweep")
 	}
 	if !artifactExists(t, dir, freshOrphan) {
 		t.Error("fresh artifact was reaped")
 	}
-	st.mu.Lock()
-	_, cached := st.results[oldOrphan]
-	st.mu.Unlock()
-	if cached {
-		t.Error("result-cache entry for the reaped artifact survived")
+	if j, err := st.accept(pruned, 0, "c", "h", time.Second, admitLimits{}); err != nil || j.Cached {
+		t.Errorf("resubmit after the sweep = %+v, %v; want a cache miss (entry evicted with its artifact)", j, err)
 	}
 }
 

@@ -3,7 +3,7 @@ package lint
 // lock-blocking: no may-block call while a sync.Mutex/RWMutex is held.
 // Blocking under a lock turns one slow fsync or network stall into a
 // convoy: every other goroutine that needs the mutex queues behind it —
-// the exact bug class PR 9's review chased by hand in graphiod/queue.go.
+// the bug class once chased by hand in graphiod's job queue.
 //
 // Held regions are tracked positionally inside each function: a Lock()
 // opens a region, the matching Unlock() closes it, `defer Unlock()` holds

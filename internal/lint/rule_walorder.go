@@ -1,10 +1,11 @@
 package lint
 
-// wal-order: append-before-effect. In the WAL-backed packages (graphiod's
-// job store, dist's coordinator), any function that journals a transition
-// must write the WAL record before mutating the in-memory state it
-// describes — otherwise a crash between the two leaves memory ahead of the
-// journal and replay resurrects a state the process never acknowledged.
+// wal-order: append-before-effect. In the packages that journal state
+// transitions (the internal/jobs task table, the sweep manifest, the
+// bench ledger), any function that journals a transition must write the
+// WAL record before mutating the in-memory state it describes — otherwise
+// a crash between the two leaves memory ahead of the journal and replay
+// resurrects a state the process never acknowledged.
 //
 // The check is positional within one function: in a function that calls
 // the persist Journal's Append — either directly or through a thin append
@@ -18,9 +19,10 @@ package lint
 // the store's memory-only transitions (scheduling, dedup indexes) are
 // deliberate and have no record to order against. Local aliases are
 // followed one assignment deep: `s := c.shards[k]; s.state = x` counts as
-// receiver state. Only receiver state and parameters of program-defined
-// types are considered roots: an *http.Request is the transport's state,
-// not journaled state.
+// receiver state, and so does the comma-ok form `s, ok := c.shards[k]`.
+// Only receiver state and parameters of program-defined types are
+// considered roots: an *http.Request is the transport's state, not
+// journaled state.
 
 import (
 	"go/ast"
@@ -35,9 +37,10 @@ type WalOrder struct {
 	Packages []string
 }
 
-// NewWalOrder returns the rule scoped to the WAL-backed packages.
+// NewWalOrder returns the rule scoped to the packages that call
+// persist.Journal.Append.
 func NewWalOrder() *WalOrder {
-	return &WalOrder{Packages: []string{"graphio/internal/graphiod", "graphio/internal/dist"}}
+	return &WalOrder{Packages: []string{"graphio/internal/jobs", "graphio/internal/experiments", "graphio/cmd/benchjson"}}
 }
 
 // Name implements Rule.
@@ -139,10 +142,19 @@ func rootedLocals(p *Package, n *FuncNode) map[types.Object]bool {
 		changed := false
 		ownNodes(n, func(x ast.Node) bool {
 			as, ok := x.(*ast.AssignStmt)
-			if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+			if !ok || as.Tok != token.DEFINE {
 				return true
 			}
 			for i, l := range as.Lhs {
+				rhs := i
+				if len(as.Lhs) != len(as.Rhs) {
+					// v, ok := m[k]: v aliases the element. Other two-value
+					// sources (calls, assertions, receives) have no base.
+					if len(as.Rhs) != 1 || i != 0 {
+						continue
+					}
+					rhs = 0
+				}
 				id, ok := l.(*ast.Ident)
 				if !ok {
 					continue
@@ -151,7 +163,7 @@ func rootedLocals(p *Package, n *FuncNode) map[types.Object]bool {
 				if obj == nil || rooted[obj] {
 					continue
 				}
-				if base := baseObject(p, as.Rhs[i]); base != nil && (params[base] || rooted[base]) {
+				if base := baseObject(p, as.Rhs[rhs]); base != nil && (params[base] || rooted[base]) {
 					rooted[obj] = true
 					changed = true
 				}

@@ -61,6 +61,16 @@ func (s *store) aliased(id string) error {
 	return s.appendRec(record{Kind: id})
 }
 
+// commaOK follows the comma-ok form of the same alias.
+func (s *store) commaOK(id string) error {
+	e, ok := s.jobs[id]
+	if !ok {
+		return nil
+	}
+	e.tries++ // want `commaOK mutates e\.tries before its first WAL append \(line \d+\)`
+	return s.appendRec(record{Kind: id})
+}
+
 // memoryOnly is clean: it never journals, so there is no record to order
 // against (scheduling state is deliberately memory-only).
 func (s *store) memoryOnly(id string) {

@@ -21,9 +21,15 @@ import (
 // crash-consistency contract sweep manifests rely on. A bad record
 // anywhere before the final line cannot be produced by an append crash
 // and is reported as a *CorruptError instead of silently dropped.
+//
+// A failed Append can leave a torn frame at the tail, which a later
+// append would bury mid-file. So after one Append fails, the journal
+// refuses every later Append until OpenJournal, which drops the torn
+// tail, reopens it.
 type Journal struct {
-	f    File
-	path string
+	f      File
+	path   string
+	failed error // first write or sync failure
 }
 
 // CorruptError reports a journal record that failed validation somewhere
@@ -173,11 +179,16 @@ func (j *Journal) Append(rec []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w (journal %s)", err, j.path)
 	}
+	if j.failed != nil {
+		return fmt.Errorf("persist: journal %s refuses appends after a failed one (reopen to recover): %w", j.path, j.failed)
+	}
 	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("persist: appending to journal %s: %w", j.path, err)
+		j.failed = fmt.Errorf("persist: appending to journal %s: %w", j.path, err)
+		return j.failed
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing journal %s: %w", j.path, err)
+		j.failed = fmt.Errorf("persist: syncing journal %s: %w", j.path, err)
+		return j.failed
 	}
 	Count("persist.journal.append")
 	return nil

@@ -316,6 +316,63 @@ func TestJournalMidFileCorruptionIsAnError(t *testing.T) {
 	}
 }
 
+// shortWrite cuts exactly one write (the n-th) in half and fails it,
+// then passes every later write through: a transient fault, like a disk
+// that fills up and frees again.
+type shortWrite struct {
+	persist.File
+	n int
+}
+
+func (w *shortWrite) Write(p []byte) (int, error) {
+	if w.n--; w.n != 0 {
+		return w.File.Write(p)
+	}
+	n, _ := w.File.Write(p[:len(p)/2])
+	return n, errors.New("injected short write")
+}
+
+// A failed append leaves half a frame at the tail. An append after it
+// would merge with that half into one unparseable line, losing a record
+// the journal acknowledged, and a second one would turn the torn tail
+// into mid-file corruption. So the journal must refuse every append
+// after a failed one, and reopening must drop the torn tail cleanly.
+func TestJournalRefusesAppendsAfterAFailedOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	persist.WrapFile = func(f persist.File) persist.File { return &shortWrite{File: f, n: 2} }
+	t.Cleanup(func() { persist.WrapFile = nil })
+	j, _, err := persist.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte(`{"seq":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte(`{"seq":2}`)); err == nil {
+		t.Fatal("the cut append reported success")
+	}
+	for _, rec := range []string{`{"seq":3}`, `{"seq":4}`} {
+		if err := j.Append([]byte(rec)); err == nil {
+			t.Fatalf("append %s after a failed one succeeded", rec)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	persist.WrapFile = nil
+	j, recs, err := persist.OpenJournal(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j.Close()
+	if len(recs) != 1 || string(recs[0]) != `{"seq":1}` {
+		t.Fatalf("reopen replayed %q, want only the acknowledged {\"seq\":1}", recs)
+	}
+	if err := j.Append([]byte(`{"seq":5}`)); err != nil {
+		t.Fatalf("append after reopen: %v", err)
+	}
+}
+
 func TestLockExcludesLiveOwnerAndStealsDeadOne(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.lock")

@@ -31,13 +31,16 @@ func main() {
 	floors, err := hier.Bounds(context.Background(), g, caps, core.Options{})
 	exutil.Check(err, "per-boundary Theorem 4 floors")
 
-	for name, order := range map[string][]int{
-		"kahn":     g.TopoOrder(),
-		"frontier": pebble.FrontierOrder(g),
+	for _, o := range []struct {
+		name  string
+		order []int
+	}{
+		{"kahn", g.TopoOrder()},
+		{"frontier", pebble.FrontierOrder(g)},
 	} {
-		res, err := hier.Simulate(g, order, caps)
-		exutil.Check(err, fmt.Sprintf("simulating the %s order on the hierarchy", name))
-		fmt.Printf("\n%s order:\n", name)
+		res, err := hier.Simulate(g, o.order, caps)
+		exutil.Check(err, fmt.Sprintf("simulating the %s order on the hierarchy", o.name))
+		fmt.Printf("\n%s order:\n", o.name)
 		cum := 0
 		for i, c := range caps {
 			cum += c

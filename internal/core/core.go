@@ -217,6 +217,11 @@ type Result struct {
 // (original Laplacian with the max-out-degree divisor) when Theorem 4 was
 // requested. Every degradation is recorded in Spectrum.Fallbacks and
 // counted under the core.fallback.* observability counters.
+//
+// When ctx carries a Memo (WithMemo) and Options.WrapOperator is nil, a
+// spectrum the Memo already holds is returned as a copy without solving,
+// even under an expired context, and a successful solve is stored in it.
+// Hits and misses count under core.memo.hits and core.memo.misses.
 func SolveSpectrum(ctx context.Context, g *graph.Graph, opt Options) (*Spectrum, error) {
 	opt = opt.withDefaults()
 	if opt.MaxK < 0 {
@@ -225,9 +230,6 @@ func SolveSpectrum(ctx context.Context, g *graph.Graph, opt Options) (*Spectrum,
 	n := g.N()
 	if n == 0 {
 		return &Spectrum{Kind: opt.Laplacian, Divisor: 1, SolverUsed: opt.Solver}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: spectral bound interrupted: %w", err)
 	}
 	h := opt.MaxK
 	if h > n {
@@ -244,6 +246,23 @@ func SolveSpectrum(ctx context.Context, g *graph.Graph, opt Options) (*Spectrum,
 	}
 	if solver != SolverDense && solver != SolverLanczos && solver != SolverChebyshev {
 		return nil, fmt.Errorf("core: unknown solver %v", opt.Solver)
+	}
+
+	memo := memoFrom(ctx)
+	if opt.WrapOperator != nil {
+		memo = nil // a wrapper keeps per-attempt state, so every solve must reach it
+	}
+	var key memoKey
+	if memo != nil {
+		key = newMemoKey(g, opt)
+		if s, ok := memo.get(key); ok {
+			obs.IncCtx(ctx, "core.memo.hits")
+			return s, nil
+		}
+		obs.IncCtx(ctx, "core.memo.misses")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: spectral bound interrupted: %w", err)
 	}
 
 	sp := obs.StartSpanCtx(ctx, "core.spectrum")
@@ -269,7 +288,7 @@ func SolveSpectrum(ctx context.Context, g *graph.Graph, opt Options) (*Spectrum,
 	if kind == laplacian.Original && g.MaxOutDeg() > 0 {
 		divisor = float64(g.MaxOutDeg()) // an edgeless graph keeps 1; its spectrum is all zeros
 	}
-	return &Spectrum{
+	s := &Spectrum{
 		Eigenvalues: lambda,
 		N:           n,
 		Kind:        kind,
@@ -277,7 +296,11 @@ func SolveSpectrum(ctx context.Context, g *graph.Graph, opt Options) (*Spectrum,
 		SolverUsed:  used,
 		Degraded:    len(events) > 0,
 		Fallbacks:   events,
-	}, nil
+	}
+	if memo != nil {
+		memo.put(key, s)
+	}
+	return s, nil
 }
 
 // At evaluates the Theorem 4/5/6 bound on s for fast memory M and p

@@ -162,7 +162,9 @@ func Figure10(ctx context.Context, cfg Config, build func(int) *graph.Graph) (*T
 
 // Figure11 regenerates the runtime comparison (paper Figure 11: seconds to
 // compute the spectral vs the convex min-cut bound on Bellman–Held–Karp).
+// It times its own solves, so it detaches the sweep's spectrum memo.
 func Figure11(ctx context.Context, cfg Config, build func(int) *graph.Graph) (*Table, error) {
+	ctx = core.WithMemo(ctx, nil)
 	t := &Table{
 		Name:    "fig11",
 		Title:   "Runtime (s) for computing the lower bound on l-city Bellman-Held-Karp",

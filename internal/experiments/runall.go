@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"graphio/internal/core"
 	"graphio/internal/gen"
 	"graphio/internal/graph"
 	"graphio/internal/obs"
@@ -128,7 +129,10 @@ func runRunners(ctx context.Context, cfg Config, outDir string, names []string, 
 	// ctx, Child on the nil scope opens a root exactly as before.
 	sweepScope := obs.FromContext(ctx).Child("sweep")
 	defer sweepScope.Close()
-	ctx = obs.WithScope(ctx, sweepScope)
+	// One spectrum memo per sweep: a (graph, Laplacian, h, solver) an
+	// earlier experiment solved is a lookup for every later one. It dies
+	// with the sweep, so no spectrum outlives the tables that used it.
+	ctx = core.WithMemo(obs.WithScope(ctx, sweepScope), core.NewMemo())
 	type failure struct {
 		name string
 		err  error

@@ -135,3 +135,28 @@ func paths(secs []obs.ScopeSection) []string {
 	}
 	return out
 }
+
+// A sweep solves each (graph, Laplacian, h, solver) once: every
+// core.spectrum span is a memo miss, except fig11's, which time their
+// solves and so bypass the memo.
+func TestSweepSolvesEachSpectrumOnce(t *testing.T) {
+	obs.Enable(true)
+	defer obs.Enable(false)
+	sc := obs.NewScope(t.Name())
+	defer sc.Close()
+	cfg := QuickConfig()
+	if _, err := RunAll(obs.WithScope(context.Background(), sc), cfg, "", nil, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	snap := sc.Registry().Snapshot()
+	solves := snap.Timers["span.core.spectrum"].Count
+	hits, misses := snap.Counters["core.memo.hits"], snap.Counters["core.memo.misses"]
+	fig11 := int64(len(cfg.BHKCities))
+	if solves != misses+fig11 {
+		t.Errorf("%d core.spectrum spans, want %d misses + %d fig11 solves", solves, misses, fig11)
+	}
+	// Without the memo this sweep solved 86 spectra.
+	if hits == 0 || solves >= 86 {
+		t.Errorf("sweep solved %d spectra with %d memo hits, want fewer than 86 solves", solves, hits)
+	}
+}

@@ -14,7 +14,10 @@
 // content, M, MaxK, solver — in the style of experiments.Config.Hash,
 // committed atomically and verified by SHA-256 on replay, so a
 // re-submitted identical request is served from the cache with bytes
-// identical to the pre-crash run.
+// identical to the pre-crash run. Below that cache the daemon memoizes
+// spectra (core.Memo) for its lifetime, so a job on a graph an earlier job
+// solved, at another M, runs only the k-sweep and writes the artifact a
+// full solve writes.
 //
 // Degradation. Jobs run under per-job deadlines on a bounded worker pool;
 // a stalled eigensolve hits its deadline and resolves as a typed

@@ -94,7 +94,7 @@ func (srv *Server) runJob(baseCtx context.Context, j job) {
 	defer cancel()
 	scope := srv.scope.Child(j.ID)
 	defer scope.Close()
-	jctx = obs.WithScope(jctx, scope)
+	jctx = core.WithMemo(obs.WithScope(jctx, scope), srv.memo)
 
 	start := obs.Now()
 	spec := j.Data.Spec

@@ -125,6 +125,9 @@ type Server struct {
 	cfg   Config
 	store *store
 	scope *obs.Scope
+	// memo holds the spectra this daemon has solved, so a job on a graph
+	// an earlier job already solved (at another M) costs no eigensolve.
+	memo *core.Memo
 
 	// hard is the worker pool's lifetime: cancelled only on Close, so an
 	// aborted job is left non-terminal for WAL replay. dispatch gates
@@ -159,6 +162,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		store: st,
 		scope: obs.NewScope("serve"),
+		memo:  core.NewMemo(),
 		wake:  make(chan struct{}, 1),
 	}
 	//lint:ignore ctx-flow the daemon's hard-deadline context is a process root: New is the top of the ownership tree, there is no caller ctx to thread
@@ -295,7 +299,8 @@ func (srv *Server) Drain(ctx context.Context) error {
 }
 
 // Close hard-stops the daemon: cancels every in-flight job (left
-// non-terminal for replay), stops the listener, and releases the data dir.
+// non-terminal for replay), stops the listener, releases the data dir and
+// drops the memoized spectra.
 func (srv *Server) Close() {
 	srv.draining.Store(true)
 	srv.cancelDispatch()
@@ -308,6 +313,7 @@ func (srv *Server) Close() {
 	srv.wg.Wait()
 	srv.scope.Close()
 	srv.store.close()
+	srv.memo = nil
 }
 
 // Start listens on addr ("host:port"; port 0 picks one) and serves the API

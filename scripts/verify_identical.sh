@@ -7,8 +7,10 @@
 #
 #   - a quick sweep's report.txt and every CSV, byte for byte, except
 #     fig11's spectral_s and mincut_s wall-clock columns;
-#   - the artifact hash a fresh daemon reports for a dense job (fft:5) and
-#     a Chebyshev job (bhk:11).
+#   - the artifact hashes a fresh one-worker daemon reports for a dense
+#     job (fft:5) and a Chebyshev job (bhk:11), each submitted twice at
+#     different M, so that the second of each pair reuses the spectrum
+#     the first one solved when the build memoizes spectra.
 #
 # Fails naming the first output that differs. Run from the repository
 # root, e.g. `sh scripts/verify_identical.sh origin/main`.
@@ -103,8 +105,11 @@ wait_line() {
     done
 }
 
-# Each job: a label and the submit flags.
-jobs="fft:5|-spec fft:5 -m 16 -max-k 8 -solver dense
+# Each job: a label and the submit flags. The daemon runs one worker, so
+# the jobs run in this order and the M=16 jobs find their graph solved.
+jobs="fft:5-m8|-spec fft:5 -m 8 -max-k 8 -solver dense
+bhk:11-m8|-spec bhk:11 -m 8
+fft:5|-spec fft:5 -m 16 -max-k 8 -solver dense
 bhk:11|-spec bhk:11 -m 16"
 
 for side in base head; do

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (no deps).
 
-.PHONY: build test test-race vet vet-strict lint lint-sarif lint-fixtures bench bench-json bench-check bench-history cover experiments experiments-quick verify-resume verify-dist verify-graphiod verify-identical examples fmt
+.PHONY: build test test-race vet vet-strict lint lint-sarif lint-fixtures bench bench-check cover experiments experiments-quick verify-resume verify-dist verify-graphiod verify-identical examples fmt
 
 build:
 	go build ./...
@@ -45,27 +45,6 @@ cover:
 bench:
 	go test -bench=. -benchmem -benchtime=1x .
 
-# Real benchmark timings (not the 1x smoke run) as machine-readable JSON:
-# name -> {ns_per_op, allocs_per_op, ...} for regression tracking across PRs.
-bench-json:
-	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o BENCH_PR1.json
-
-# CI regression gate: run the benchmarks fresh and diff the timings against
-# the committed BENCH_PR1.json baseline. Exits non-zero if any ns_per_op
-# regressed by more than 20% (see cmd/obsreport -fail-over).
-bench-check:
-	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o /tmp/bench-current.json
-	go run ./cmd/obsreport -fail-over 20 BENCH_PR1.json /tmp/bench-current.json
-
-# Multi-run trend ledger: run the benchmarks, append this run (git rev,
-# platform, ns/op per benchmark) to results/bench_history.jsonl, then
-# compare the latest run against the median of the prior runs. Exits
-# non-zero when any benchmark regressed more than 20% against that median;
-# harmless on the first run (nothing to compare against yet).
-bench-history:
-	go test -bench=. -benchmem -benchtime=3x . | go run ./cmd/benchjson -o /tmp/bench-current.json -history results/bench_history.jsonl
-	go run ./cmd/obsreport trend -fail-over 20 results/bench_history.jsonl
-
 experiments:
 	go run ./cmd/experiments -profile default -out results
 
@@ -93,11 +72,17 @@ verify-graphiod:
 
 # Cross-commit output gate: build cmd/experiments and cmd/graphiod at BASE
 # and from the working tree; a quick sweep's report.txt and CSVs (fig11's
-# wall-clock columns masked) and two daemon artifacts must be identical.
+# wall-clock columns masked) and the daemon artifacts must be identical.
 # `make verify-identical BASE=origin/main`; BASE defaults to HEAD.
 BASE ?= HEAD
 verify-identical:
 	sh scripts/verify_identical.sh $(BASE)
+
+# Same-host benchmark gate: perfbench in alternating pairs, BASE's program
+# against the working tree's, every BENCHMARK.json workload gated on its
+# end-to-end bounds; a traced pair names the layer that moved (~10 min).
+bench-check:
+	sh scripts/bench_pair.sh $(BASE)
 
 examples:
 	go run ./examples/quickstart

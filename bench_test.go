@@ -4,7 +4,9 @@ package graphio_test
 // tables) plus solver and simulator ablations. Graph construction happens
 // outside the timed region; each iteration re-runs the bound computation
 // the corresponding figure point needs. go test -bench=. -benchmem runs
-// them all; EXPERIMENTS.md records a reference run.
+// them all; `make bench` runs each once, as the smoke test CI runs.
+// Performance claims and the regression gate use perfbench instead
+// (`make bench-check`): same-host pairs on fixed workloads.
 
 import (
 	"testing"

@@ -1,27 +1,20 @@
-// Command obsreport turns graphio telemetry files into run reports and
-// regression verdicts. It reads any of the three JSON shapes the toolchain
-// emits, auto-detected by content:
+// Command obsreport turns graphio telemetry files into run reports. It
+// reads the two JSON shapes the toolchain emits, auto-detected by content:
 //
 //   - metrics snapshots written by -metrics-out (counters/gauges/timers/hists)
 //   - Chrome trace-event files written by -trace-out
-//   - benchmark maps written by cmd/benchjson (BENCH_*.json)
 //
 // One file renders a report: the span phase tree with total/self wall time,
 // the top counters, gauges, and histogram quantiles. Two files render
-// per-metric deltas instead; with -fail-over PCT the exit code becomes 1
-// when any time-like metric (timer averages, histogram p50s, trace phase
-// totals, benchmark ns/op) regressed by more than PCT percent — the CI gate
-// behind `make bench-check`.
+// per-metric deltas instead.
 //
 //	obsreport run.json
 //	obsreport run.trace.json
 //	obsreport old.json new.json
-//	obsreport -fail-over 20 BENCH_PR1.json bench_now.json
 //
-// Two subcommands cover the solver-introspection artifacts:
+// A subcommand covers the solver event log:
 //
 //	obsreport convergence run.events.jsonl          per-iteration solver event report
-//	obsreport trend results/bench_history.jsonl     multi-run benchmark ledger trends
 package main
 
 import (
@@ -39,18 +32,12 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "convergence":
-			os.Exit(convergenceMain(os.Args[2:]))
-		case "trend":
-			os.Exit(trendMain(os.Args[2:]))
-		}
+	if len(os.Args) > 1 && os.Args[1] == "convergence" {
+		os.Exit(convergenceMain(os.Args[2:]))
 	}
-	failOver := flag.Float64("fail-over", 0, "two-file mode: exit 1 when a time-like metric regresses by more than this percent (0 = report only)")
 	top := flag.Int("top", 10, "how many counters to show in one-file reports")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: obsreport [-fail-over PCT] [-top N] FILE [FILE2]\n       obsreport convergence [...] EVENTS.jsonl\n       obsreport trend [...] [HISTORY.jsonl]")
+		fmt.Fprintln(os.Stderr, "usage: obsreport [-top N] FILE [FILE2]\n       obsreport convergence [...] EVENTS.jsonl")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,12 +53,7 @@ func main() {
 		var a, b *input
 		if a, err = load(args[0]); err == nil {
 			if b, err = load(args[1]); err == nil {
-				var regressed int
-				regressed, err = compare(os.Stdout, a, b, *failOver)
-				if err == nil && *failOver > 0 && regressed > 0 {
-					fmt.Printf("FAIL: %d metric(s) regressed more than %.0f%%\n", regressed, *failOver)
-					os.Exit(1)
-				}
+				err = compare(os.Stdout, a, b)
 			}
 		}
 	default:
@@ -90,24 +72,14 @@ type spanAgg struct {
 	totalNS int64
 }
 
-// input is one loaded telemetry file, normalized across the three formats.
+// input is one loaded telemetry file, normalized across the two formats.
 type input struct {
 	path   string
-	kind   string             // "metrics", "trace", "bench"
+	kind   string             // "metrics", "trace"
 	snap   *obs.Snapshot      // kind == "metrics"
 	scopes []obs.ScopeSection // kind == "metrics", scoped sweeps only
 	spans  map[string]spanAgg // phase tree input ("a/b/c" paths)
-	// values maps flattened metric keys to comparable numbers; timeLike
-	// marks the keys where an increase means a slowdown.
-	values   map[string]float64
-	timeLike map[string]bool
-}
-
-// benchResult mirrors cmd/benchjson's output entry.
-type benchResult struct {
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op"`
+	values map[string]float64 // flattened metric keys to comparable numbers
 }
 
 // chromeEvent is the subset of a trace-event entry obsreport consumes.
@@ -128,14 +100,14 @@ func load(path string) (*input, error) {
 	if err := json.Unmarshal(b, &probe); err != nil {
 		return nil, fmt.Errorf("%s: not a JSON object: %w", path, err)
 	}
-	in := &input{path: path, spans: map[string]spanAgg{}, values: map[string]float64{}, timeLike: map[string]bool{}}
+	in := &input{path: path, spans: map[string]spanAgg{}, values: map[string]float64{}}
 	if raw, ok := probe["traceEvents"]; ok {
 		return in.fromTrace(raw)
 	}
 	if _, ok := probe["counters"]; ok {
 		return in.fromSnapshot(b)
 	}
-	return in.fromBench(b)
+	return nil, fmt.Errorf("%s: neither a metrics snapshot nor a trace-event file", path)
 }
 
 func (in *input) fromTrace(raw json.RawMessage) (*input, error) {
@@ -155,7 +127,6 @@ func (in *input) fromTrace(raw json.RawMessage) (*input, error) {
 	}
 	for name, agg := range in.spans {
 		in.values["trace:"+name+".total_ns"] = float64(agg.totalNS)
-		in.timeLike["trace:"+name+".total_ns"] = true
 	}
 	return in, nil
 }
@@ -177,42 +148,15 @@ func (in *input) fromSnapshot(b []byte) (*input, error) {
 			in.spans[short] = spanAgg{count: t.Count, totalNS: t.TotalNS}
 		}
 		in.values["timer:"+name+".avg_ns"] = float64(t.AvgNS)
-		in.timeLike["timer:"+name+".avg_ns"] = true
 	}
 	for name, h := range s.Hists {
 		in.values["hist:"+name+".p50"] = h.P50
-		in.timeLike["hist:"+name+".p50"] = strings.HasSuffix(name, "_ns")
 	}
 	for name, v := range s.Counters {
 		in.values["counter:"+name] = float64(v)
 	}
 	for name, v := range s.Gauges {
 		in.values["gauge:"+name] = v
-		if name == "wall_seconds" {
-			in.timeLike["gauge:"+name] = true
-		}
-	}
-	return in, nil
-}
-
-func (in *input) fromBench(b []byte) (*input, error) {
-	in.kind = "bench"
-	var m map[string]benchResult
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("%s: bad bench JSON: %w", in.path, err)
-	}
-	if len(m) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks found", in.path)
-	}
-	for name, r := range m {
-		if r.NsPerOp <= 0 {
-			return nil, fmt.Errorf("%s: %s has no ns/op — not a benchjson file?", in.path, name)
-		}
-		in.values["bench:"+name+".ns_per_op"] = r.NsPerOp
-		in.timeLike["bench:"+name+".ns_per_op"] = true
-		if r.AllocsPerOp != nil {
-			in.values["bench:"+name+".allocs_per_op"] = *r.AllocsPerOp
-		}
 	}
 	return in, nil
 }
@@ -300,9 +244,6 @@ func report(w io.Writer, in *input, top int) error {
 		writeGauges(&b, in.snap)
 		writeHists(&b, in.snap)
 		writeScopes(&b, in.scopes)
-	}
-	if in.kind == "bench" {
-		writeBench(&b, in)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -400,18 +341,6 @@ func writeScopes(b *strings.Builder, scopes []obs.ScopeSection) {
 	}
 }
 
-func writeBench(b *strings.Builder, in *input) {
-	names := sortedKeys(in.values)
-	fmt.Fprintf(b, "\nbenchmarks\n")
-	for _, k := range names {
-		if !strings.HasSuffix(k, ".ns_per_op") {
-			continue
-		}
-		name := strings.TrimSuffix(strings.TrimPrefix(k, "bench:"), ".ns_per_op")
-		fmt.Fprintf(b, "  %-44s %s/op\n", name, fmtDur(int64(in.values[k])))
-	}
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for k := range m {
@@ -423,9 +352,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // ----- two-file comparison -----
 
-// compare prints per-metric deltas for keys present in both inputs and
-// returns how many time-like metrics regressed past failOver percent.
-func compare(w io.Writer, a, b *input, failOver float64) (int, error) {
+// compare prints per-metric deltas for keys present in both inputs.
+func compare(w io.Writer, a, b *input) error {
 	common := make([]string, 0, len(a.values))
 	for k := range a.values {
 		if _, ok := b.values[k]; ok {
@@ -434,25 +362,18 @@ func compare(w io.Writer, a, b *input, failOver float64) (int, error) {
 	}
 	sort.Strings(common)
 	if len(common) == 0 {
-		return 0, fmt.Errorf("no common metrics between %s and %s", a.path, b.path)
+		return fmt.Errorf("no common metrics between %s and %s", a.path, b.path)
 	}
 	var out strings.Builder
 	fmt.Fprintf(&out, "%s → %s (%d common metrics)\n", a.path, b.path, len(common))
 	fmt.Fprintf(&out, "%-58s %14s %14s %9s\n", "metric", "old", "new", "delta")
-	regressed := 0
 	for _, k := range common {
 		ov, nv := a.values[k], b.values[k]
-		delta, has := deltaPct(ov, nv)
-		mark := ""
-		if has && failOver > 0 && delta > failOver && a.timeLike[k] && b.timeLike[k] {
-			regressed++
-			mark = "  !"
-		}
 		ds := "n/a"
-		if has {
+		if delta, has := deltaPct(ov, nv); has {
 			ds = fmt.Sprintf("%+.1f%%", delta)
 		}
-		fmt.Fprintf(&out, "%-58s %14s %14s %9s%s\n", k, fmtValue(k, ov), fmtValue(k, nv), ds, mark)
+		fmt.Fprintf(&out, "%-58s %14s %14s %9s\n", k, fmtValue(k, ov), fmtValue(k, nv), ds)
 	}
 	onlyA, onlyB := 0, 0
 	for k := range a.values {
@@ -469,7 +390,7 @@ func compare(w io.Writer, a, b *input, failOver float64) (int, error) {
 		fmt.Fprintf(&out, "(%d metrics only in %s, %d only in %s)\n", onlyA, a.path, onlyB, b.path)
 	}
 	_, err := io.WriteString(w, out.String())
-	return regressed, err
+	return err
 }
 
 func deltaPct(old, new float64) (float64, bool) {
@@ -482,7 +403,7 @@ func deltaPct(old, new float64) (float64, bool) {
 // fmtValue renders nanosecond-unit metrics as durations and everything
 // else as plain numbers.
 func fmtValue(key string, v float64) string {
-	if strings.HasSuffix(key, "_ns") || strings.HasSuffix(key, ".ns_per_op") || strings.Contains(key, "_ns.") {
+	if strings.HasSuffix(key, "_ns") || strings.Contains(key, "_ns.") {
 		return fmtDur(int64(v))
 	}
 	return fmt.Sprintf("%g", v)

@@ -40,7 +40,7 @@ type WalOrder struct {
 // NewWalOrder returns the rule scoped to the packages that call
 // persist.Journal.Append.
 func NewWalOrder() *WalOrder {
-	return &WalOrder{Packages: []string{"graphio/internal/jobs", "graphio/internal/experiments", "graphio/cmd/benchjson"}}
+	return &WalOrder{Packages: []string{"graphio/internal/jobs", "graphio/internal/experiments"}}
 }
 
 // Name implements Rule.

@@ -7,10 +7,12 @@
 #
 #   - a quick sweep's report.txt and every CSV, byte for byte, except
 #     fig11's spectral_s and mincut_s wall-clock columns;
-#   - the artifact hashes a fresh one-worker daemon reports for a dense
-#     job (fft:5) and a Chebyshev job (bhk:11), each submitted twice at
-#     different M, so that the second of each pair reuses the spectrum
-#     the first one solved when the build memoizes spectra.
+#   - the artifact hashes a fresh one-worker daemon reports for two dense
+#     jobs (fft:5 and bhk:8; fft:5 certifies 0, so only bhk:8's artifacts
+#     move with the dense eigenvalues) and a Chebyshev job (bhk:11), each
+#     submitted twice at different M, so that the second of each pair
+#     reuses the spectrum the first one solved when the build memoizes
+#     spectra.
 #
 # Fails naming the first output that differs. Run from the repository
 # root, e.g. `sh scripts/verify_identical.sh origin/main`.
@@ -106,10 +108,12 @@ wait_line() {
 }
 
 # Each job: a label and the submit flags. The daemon runs one worker, so
-# the jobs run in this order and the M=16 jobs find their graph solved.
+# the jobs run in this order and the last three find their graph solved.
 jobs="fft:5-m8|-spec fft:5 -m 8 -max-k 8 -solver dense
+bhk:8-m1|-spec bhk:8 -m 1 -max-k 16 -solver dense
 bhk:11-m8|-spec bhk:11 -m 8
 fft:5|-spec fft:5 -m 16 -max-k 8 -solver dense
+bhk:8|-spec bhk:8 -m 2 -max-k 16 -solver dense
 bhk:11|-spec bhk:11 -m 16"
 
 for side in base head; do

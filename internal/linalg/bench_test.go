@@ -4,13 +4,16 @@ package linalg_test
 // (n = 5120), the largest input of perfbench's iterative workload. The
 // benchmark's traced run wraps the operator in a MatVec-only probe, so it
 // times the column-by-column adapter; these isolate the block product and
-// the whole raw-CSR solve. Run at -cpu 1,2.
+// the whole raw-CSR solve. Run at -cpu 1,2. BenchmarkSymEigValues times
+// the dense solver on three of perfbench's dense inputs.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"graphio/internal/gen"
+	"graphio/internal/graph"
 	"graphio/internal/laplacian"
 	"graphio/internal/linalg"
 )
@@ -68,7 +71,7 @@ func BenchmarkCSRMulBlock(b *testing.B) {
 	})
 }
 
-var chebSink []float64
+var eigSink []float64
 
 // BenchmarkChebFilteredFFT9 times one whole solve for the 100 smallest
 // eigenvalues, as core runs it on perfbench's fft-9 input.
@@ -81,6 +84,27 @@ func BenchmarkChebFilteredFFT9(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		chebSink = vals
+		eigSink = vals
+	}
+}
+
+// BenchmarkSymEigValues times the dense solve core runs up to 1024
+// vertices, tred2 then tql2, on the L̃ of bhk-8, matmul-8 and fft-7. It
+// reports GFLOP/s as perfbench's linalg.dense_gflops counts them: (4/3)n³
+// per solve.
+func BenchmarkSymEigValues(b *testing.B) {
+	for _, g := range []*graph.Graph{gen.BellmanHeldKarp(8), gen.NaiveMatMulNary(8), gen.FFT(7)} {
+		L := laplacian.BuildDense(g, laplacian.OutDegreeNormalized)
+		b.Run(g.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vals, err := linalg.SymEigValues(L)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eigSink = vals
+			}
+			flop := 4.0 / 3 * math.Pow(float64(L.N), 3) * float64(b.N)
+			b.ReportMetric(flop/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

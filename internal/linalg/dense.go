@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"graphio/internal/obs"
 )
@@ -81,13 +82,20 @@ func SymEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, err error) {
 	return vals, vecs, err
 }
 
-// symEig is SymEig plus the QL iteration count, so top-level entry points
-// can report solver effort without inner Rayleigh-Ritz solves (Chebyshev
-// calls SymEig every sweep) polluting the counters.
-func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, iters int, err error) {
+// denseStats is what one symEig run reports: the QL iteration count and,
+// while obs is enabled, the wall time of each stage.
+type denseStats struct {
+	iters       int
+	tred2, tql2 time.Duration
+}
+
+// symEig is SymEig plus its stats, so top-level entry points can report
+// solver effort without inner Rayleigh-Ritz solves (Chebyshev calls SymEig
+// every sweep) polluting the counters.
+func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, st denseStats, err error) {
 	n := a.N
 	if n == 0 {
-		return nil, nil, 0, nil
+		return nil, nil, st, nil
 	}
 	work := a.Clone()
 	rows := make([][]float64, n)
@@ -96,14 +104,26 @@ func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, iters int, err e
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
+	timed := obs.Enabled()
+	var start time.Time
+	if timed {
+		start = obs.Now()
+	}
 	tred2(rows, d, e, wantV)
+	if timed {
+		st.tred2 = obs.Since(start)
+		start = obs.Now()
+	}
 	var z [][]float64
 	if wantV {
 		z = rows
 	}
-	iters, err = tql2(d, e, z)
+	st.iters, err = tql2(d, e, z)
+	if timed {
+		st.tql2 = obs.Since(start)
+	}
 	if err != nil {
-		return nil, nil, iters, err
+		return nil, nil, st, err
 	}
 	// Sort eigenvalues (and columns of z) ascending with a simple selection
 	// sort; n^2 swaps are negligible next to the n^3 factorization.
@@ -126,12 +146,13 @@ func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, iters int, err e
 	if wantV {
 		vecs = work
 	}
-	return d, vecs, iters, nil
+	return d, vecs, st, nil
 }
 
 // SymEigValues returns only the eigenvalues of the symmetric matrix a, in
 // ascending order. As the dense path's top-level eigensolve it reports the
-// QL sweep count to the observability layer.
+// QL sweep count and the wall time of tred2 and tql2 to the
+// observability layer.
 func SymEigValues(a *Dense) ([]float64, error) {
 	return SymEigValuesContext(context.Background(), a)
 }
@@ -139,10 +160,12 @@ func SymEigValues(a *Dense) ([]float64, error) {
 // SymEigValuesContext is SymEigValues with its solver counters attributed
 // to ctx's telemetry scope.
 func SymEigValuesContext(ctx context.Context, a *Dense) ([]float64, error) {
-	vals, _, iters, err := symEig(a, false)
+	vals, _, st, err := symEig(a, false)
 	if err == nil && obs.Enabled() {
-		obs.AddCtx(ctx, "linalg.eigensolver.iterations", int64(iters))
-		obs.AddCtx(ctx, "linalg.dense.ql_iters", int64(iters))
+		obs.AddCtx(ctx, "linalg.eigensolver.iterations", int64(st.iters))
+		obs.AddCtx(ctx, "linalg.dense.ql_iters", int64(st.iters))
+		obs.AddCtx(ctx, "linalg.dense.tred2_ns", st.tred2.Nanoseconds())
+		obs.AddCtx(ctx, "linalg.dense.tql2_ns", st.tql2.Nanoseconds())
 	}
 	return vals, err
 }
@@ -151,87 +174,195 @@ func SymEigValuesContext(ctx context.Context, a *Dense) ([]float64, error) {
 // form by Householder similarity transformations. On return d holds the
 // diagonal and e[1..n-1] the subdiagonal (e[0] = 0). If wantV, a is
 // overwritten with the accumulated orthogonal transformation Q such that
-// Q^T A Q = T; otherwise a's contents are destroyed.
+// Q^T A Q = T; otherwise a's contents are destroyed. Only the lower
+// triangle of a is read.
+//
+// Order invariant: each sum takes the same terms in the same order as in
+// the column-walking EISPACK loop this replaced (tred2Ref in the tests),
+// so d, e and Q match it bit for bit. Step i makes one pass over rows
+// 0..i-1 in increasing k. Row k first takes step i+1's rank-2 update, then
+// adds its row part a[k][0..k]·u[0..k] to p[k], summed from zero in column
+// order, and its term a[k][m]·u[k] to p[m] for each m < k. So each p[j]
+// gets its row part and then the terms of rows j+1, j+2, … in turn. Rows
+// go two at a time, and p[m] gets (p[m] + a[k][m]·u[k]) + a[k+1][m]·u[k+1]:
+// the same order. Every expression keeps its operands and association, so
+// a compiler that fuses multiply-adds fuses both alike. The accumulation
+// of Q likewise forms each g[j] = Σₖ a[i][k]·a[k][j] in k order, row by
+// row.
 func tred2(a [][]float64, d, e []float64, wantV bool) {
 	n := len(a)
+	if n == 0 {
+		return
+	}
+	// Step i's rank-2 update A -= u·qᵀ + q·uᵀ reaches each row only when
+	// step i-1's pass gets there; pu and pq hold that pending u and q. With
+	// none pending they are zero, which subtracts +0 and leaves every bit
+	// as it is. p, which becomes q, alternates between two buffers because
+	// the pending q is read while the next p is summed.
+	zero := make([]float64, n)
+	buf := [2][]float64{make([]float64, n), make([]float64, n)}
+	pu, pq := zero, zero
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		ai := a[i]
+		rank2Row(ai[:i+1], pu, pq)
 		var h, scale float64
 		if l > 0 {
 			for k := 0; k <= l; k++ {
-				scale += math.Abs(a[i][k])
+				scale += math.Abs(ai[k])
 			}
-			if EqZero(scale) {
-				e[i] = a[i][l]
-			} else {
-				for k := 0; k <= l; k++ {
-					a[i][k] /= scale
-					h += a[i][k] * a[i][k]
-				}
-				f := a[i][l]
-				g := math.Sqrt(h)
-				if f >= 0 {
-					g = -g
-				}
-				e[i] = scale * g
-				h -= f * g
-				a[i][l] = f - g
-				f = 0
-				for j := 0; j <= l; j++ {
-					if wantV {
-						a[j][i] = a[i][j] / h
-					}
-					g = 0
-					for k := 0; k <= j; k++ {
-						g += a[j][k] * a[i][k]
-					}
-					for k := j + 1; k <= l; k++ {
-						g += a[k][j] * a[i][k]
-					}
-					e[j] = g / h
-					f += e[j] * a[i][j]
-				}
-				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					f = a[i][j]
-					g = e[j] - hh*f
-					e[j] = g
-					for k := 0; k <= j; k++ {
-						a[j][k] -= f*e[k] + g*a[i][k]
-					}
-				}
-			}
-		} else {
-			e[i] = a[i][l]
 		}
+		if l == 0 || EqZero(scale) {
+			e[i] = ai[l]
+			for k := 0; k <= l; k++ {
+				rank2Row(a[k][:k+1], pu, pq)
+			}
+			pu, pq = zero, zero
+			d[i] = 0
+			continue
+		}
+		for k := 0; k <= l; k++ {
+			ai[k] /= scale
+			h += ai[k] * ai[k]
+		}
+		f := ai[l]
+		g := math.Sqrt(h)
+		if f >= 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		ai[l] = f - g
+		u := ai[:i]
+		if wantV {
+			for j := 0; j <= l; j++ {
+				a[j][i] = u[j] / h
+			}
+		}
+		p := buf[i&1]
+		symvRank2(a, u, pu, pq, p)
+		f = 0
+		for j := 0; j <= l; j++ {
+			p[j] /= h
+			f += p[j] * u[j]
+		}
+		hh := f / (h + h)
+		for j := 0; j <= l; j++ {
+			p[j] -= hh * u[j]
+		}
+		pu, pq = u, p[:i]
 		d[i] = h
 	}
-	d[0] = 0
 	e[0] = 0
-	for i := 0; i < n; i++ {
-		if wantV {
-			l := i - 1
-			if !EqZero(d[i]) {
-				for j := 0; j <= l; j++ {
-					g := 0.0
-					for k := 0; k <= l; k++ {
-						g += a[i][k] * a[k][j]
-					}
-					for k := 0; k <= l; k++ {
-						a[k][j] -= g * a[k][i]
-					}
-				}
-			}
-			d[i] = a[i][i]
-			a[i][i] = 1
-			for j := 0; j <= l; j++ {
-				a[j][i] = 0
-				a[i][j] = 0
-			}
-		} else {
+	if !wantV {
+		for i := 0; i < n; i++ {
 			d[i] = a[i][i]
 		}
+		return
 	}
+	for i := 0; i < n; i++ {
+		ai := a[i]
+		if !EqZero(d[i]) {
+			// g[j] = Σₖ a[i][k]·a[k][j] over rows k < i, then each of those
+			// rows takes a[k][j] -= g[j]·a[k][i].
+			g := buf[0][:i]
+			for j := range g {
+				g[j] = 0
+			}
+			for k := 0; k < i; k++ {
+				aik, ak := ai[k], a[k][:len(g)]
+				for j := range g {
+					g[j] += aik * ak[j]
+				}
+			}
+			for k := 0; k < i; k++ {
+				aki, ak := a[k][i], a[k][:len(g)]
+				for j := range g {
+					ak[j] -= g[j] * aki
+				}
+			}
+		}
+		d[i] = ai[i]
+		ai[i] = 1
+		for j := 0; j < i; j++ {
+			a[j][i] = 0
+			ai[j] = 0
+		}
+	}
+}
+
+// rank2Row applies a pending update row[m] -= u[k]·q[m] + q[k]·u[m], m =
+// 0..k, to row k = len(row)-1 of tred2's working triangle.
+func rank2Row(row, u, q []float64) {
+	k := len(row) - 1
+	f, g := u[k], q[k]
+	u, q = u[:len(row)], q[:len(row)]
+	for m := range row {
+		row[m] -= f*q[m] + g*u[m]
+	}
+}
+
+// symvRank2 is the pass of one tred2 step over rows 0..len(u)-1 of a: each
+// row takes the pending update (pu, pq) and is then read for p = A·u, in
+// the order tred2's doc comment sets out. With an odd count row 0 goes
+// alone; every other row goes in a pair with the next.
+func symvRank2(a [][]float64, u, pu, pq, p []float64) {
+	rows := len(u)
+	k := rows % 2
+	if k == 1 {
+		r0 := a[0][:1]
+		rank2Row(r0, pu, pq)
+		var s0 float64
+		s0 += r0[0] * u[0]
+		p[0] = s0
+	}
+	for ; k < rows; k += 2 {
+		r0, r1 := a[k][:k+1], a[k+1][:k+2]
+		f0, g0, u0 := pu[k], pq[k], u[k]
+		f1, g1, u1 := pu[k+1], pq[k+1], u[k+1]
+		s0, s1 := rowPair(r0[:k], r1[:k], u[:k], pu[:k], pq[:k], p[:k], f0, g0, u0, f1, g1, u1)
+		// Column k: row k's diagonal, and row k+1's term below it.
+		x0 := r0[k]
+		x0 -= f0*pq[k] + g0*pu[k]
+		r0[k] = x0
+		x1 := r1[k]
+		x1 -= f1*pq[k] + g1*pu[k]
+		r1[k] = x1
+		s0 += x0 * u0
+		s1 += x1 * u0
+		s0 += x1 * u1
+		p[k] = s0
+		// Column k+1: row k+1's diagonal.
+		x1 = r1[k+1]
+		x1 -= f1*pq[k+1] + g1*pu[k+1]
+		r1[k+1] = x1
+		s1 += x1 * u1
+		p[k+1] = s1
+	}
+}
+
+// rowPair is symvRank2's loop over columns m < k for rows k and k+1 (c0,
+// c1): it applies the pending update (vm, qm, with f·, g· the rows' own
+// pu and pq), adds each row's column terms to pm, and returns the rows'
+// partial sums over those columns.
+func rowPair(c0, c1, um, vm, qm, pm []float64, f0, g0, u0, f1, g1, u1 float64) (s0, s1 float64) {
+	c0, c1, vm, qm, pm = c0[:len(um)], c1[:len(um)], vm[:len(um)], qm[:len(um)], pm[:len(um)]
+	for m, w := range um {
+		q, v := qm[m], vm[m]
+		x0 := c0[m]
+		x0 -= f0*q + g0*v
+		c0[m] = x0
+		x1 := c1[m]
+		x1 -= f1*q + g1*v
+		c1[m] = x1
+		s0 += x0 * w
+		s1 += x1 * w
+		t := pm[m]
+		t += x0 * u0
+		t += x1 * u1
+		pm[m] = t
+	}
+	return s0, s1
 }
 
 // tql2 computes the eigenvalues (and, if z is non-nil, eigenvectors) of a

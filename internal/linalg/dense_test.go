@@ -1,10 +1,13 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"graphio/internal/obs"
 )
 
 // pathLaplacian returns the Laplacian of the unweighted path on n vertices,
@@ -234,6 +237,23 @@ func TestSymEigEmpty(t *testing.T) {
 	vals, vecs, err := SymEig(NewDense(0), true)
 	if err != nil || vals != nil || vecs != nil {
 		t.Errorf("empty matrix: %v %v %v", vals, vecs, err)
+	}
+}
+
+// The dense path's top-level solve reports its QL sweeps and the wall time
+// of each stage to the caller's scope.
+func TestSymEigValuesReportsStages(t *testing.T) {
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(false) })
+	sc := obs.NewScope(t.Name())
+	t.Cleanup(sc.Close)
+	if _, err := SymEigValuesContext(obs.WithScope(context.Background(), sc), cycleLaplacian(64)); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"linalg.dense.ql_iters", "linalg.dense.tred2_ns", "linalg.dense.tql2_ns"} {
+		if v := sc.Counter(name); v <= 0 {
+			t.Errorf("%s = %d, want > 0", name, v)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ package linalg_test
 // non-finite) tridiagonal input must never panic, and every successful
 // return must be the requested number of finite eigenvalues. Non-finite
 // input is rejected as a typed *NonFiniteError rather than corrupting the
-// Sturm counts silently. The CSR block product is fuzzed against MatVec.
+// Sturm counts silently. The CSR block product is fuzzed against MatVec,
+// and tred2 against its column-walking reference, both bitwise.
 
 import (
 	"encoding/binary"
@@ -100,6 +101,20 @@ func FuzzCSRMulBlock(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzTred2MatchesReference runs tred2 and its reference on random
+// symmetric matrices up to 48×48, any share of whose entries are zero (so
+// whole rows can be, and the zero-scale branch runs), and requires the
+// same d, e and Q to the last bit.
+func FuzzTred2MatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(17), uint8(50))
+	f.Add(int64(2), uint8(2), uint8(0))
+	f.Add(int64(3), uint8(48), uint8(230))
+	f.Fuzz(func(t *testing.T, seed int64, n8, zeros uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		checkTred2(t, "fuzz", randomSymmetric(rng, int(n8)%49, float64(zeros)/255))
 	})
 }
 

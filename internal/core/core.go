@@ -174,7 +174,8 @@ type Spectrum struct {
 	SolverUsed Solver
 	// Degraded reports that the escalation chain had to deviate from the
 	// requested configuration (seed retry, solver switch, dense fallback,
-	// or Theorem 5 route) to produce this spectrum.
+	// or Theorem 5 route) to produce this spectrum, or that Chebyshev ran
+	// out of sweeps and padded the unconverged tail.
 	Degraded bool
 	// Fallbacks lists the degradation events, in order, human-readably.
 	Fallbacks []string
@@ -427,12 +428,16 @@ func iterativeChain(ctx context.Context, g *graph.Graph, requested Solver, kind 
 			return nil, used, events, fmt.Errorf("core: eigensolve interrupted: %w", err)
 		}
 		used = at.solver
-		lambda, err := attemptSolve(ctx, L, c, h, at, opt, sp)
+		lambda, converged, err := attemptSolve(ctx, L, c, h, at, opt, sp)
 		if err == nil {
 			if ferr := linalg.CheckFinite("eigensolve output", lambda); ferr != nil {
 				obs.IncCtx(ctx, "core.fallback.nonfinite")
 				err = &NonFiniteError{Where: fmt.Sprintf("%v eigensolve output", at.solver)}
 			} else {
+				if pad := len(lambda) - converged; pad > 0 {
+					events = recordFallback(ctx, events, "padded",
+						fmt.Sprintf("%v converged %d of %d Ritz pairs; the other %d repeat the last converged value (sound, but weaker at large k)", at.solver, converged, len(lambda), pad))
+				}
 				return lambda, at.solver, events, nil
 			}
 		}
@@ -488,7 +493,9 @@ type solveAttempt struct {
 
 // attemptSolve runs one iterative eigensolve with a freshly wrapped operator
 // and, when the attempt is a retry, a perturbed deterministic start seed.
-func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solveAttempt, opt Options, sp *obs.Span) ([]float64, error) {
+// It also returns how many leading values converged; Chebyshev pads the
+// rest when its sweeps run out.
+func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solveAttempt, opt Options, sp *obs.Span) ([]float64, int, error) {
 	var op linalg.Operator = L
 	if opt.WrapOperator != nil {
 		op = opt.WrapOperator(op)
@@ -501,6 +508,7 @@ func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solve
 	esp := sp.Child("eigensolve")
 	esp.SetStr("solver", at.solver.String())
 	var lambda []float64
+	var converged int
 	var err error
 	switch at.solver {
 	case SolverLanczos:
@@ -509,18 +517,19 @@ func attemptSolve(ctx context.Context, L *linalg.CSR, c float64, h int, at solve
 			lo = perturbLanczos(lo)
 		}
 		lambda, err = linalg.SmallestEigsPSDContext(ctx, op, c, h, lo)
+		converged = len(lambda)
 	default:
 		co := opt.Chebyshev
 		if at.perturb {
 			co = perturbCheb(co)
 		}
-		lambda, err = linalg.ChebFilteredSmallestContext(ctx, op, c, h, co)
+		lambda, converged, err = linalg.ChebFilteredSmallestPadded(ctx, op, c, h, co)
 	}
 	if cnt != nil {
 		obs.AddCtx(ctx, "linalg.matvecs", cnt.Count())
 	}
 	esp.End()
-	return lambda, err
+	return lambda, converged, err
 }
 
 // denseSpectrum computes the h smallest eigenvalues with the dense solver.

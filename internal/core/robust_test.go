@@ -8,11 +8,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"graphio/internal/faultinject"
+	"graphio/internal/gen"
 	"graphio/internal/laplacian"
 	"graphio/internal/linalg"
 	"graphio/internal/obs"
@@ -229,5 +233,53 @@ func TestDeadlineDuringSolveIsNotMasked(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded in chain (fallbacks must not mask deadlines)", err)
+	}
+}
+
+// When Chebyshev runs out of sweeps it pads the unconverged tail with the
+// last converged Ritz value. That tail is sound but weaker, so the
+// spectrum must say so: Degraded, with a Fallbacks entry counting the
+// converged pairs. It keeps Chebyshev's values, and the escalation chain
+// does not run.
+func TestPaddedChebyshevTailIsFlagged(t *testing.T) {
+	obs.Enable(true)
+	defer obs.Enable(false)
+	sc := obs.NewScope(t.Name())
+	defer sc.Close()
+	ctx := obs.WithScope(context.Background(), sc)
+	g := gen.Hypercube(6)
+	cheb := &linalg.ChebOptions{MaxIter: 1}
+	s, err := SolveSpectrum(ctx, g, Options{MaxK: 20, Solver: SolverChebyshev, Chebyshev: cheb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	L, err := laplacian.BuildCSR(g, laplacian.OutDegreeNormalized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, converged, err := linalg.ChebFilteredSmallestPadded(context.Background(), L, L.GershgorinUpper(), 20, cheb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if converged <= 0 || converged >= 20 {
+		t.Fatalf("%d of 20 Ritz pairs converged; the case needs a padded tail", converged)
+	}
+	if !slices.Equal(s.Eigenvalues, want) {
+		t.Errorf("eigenvalues %v, want Chebyshev's own %v", s.Eigenvalues, want)
+	}
+	for _, v := range s.Eigenvalues[converged:] {
+		if v != want[converged-1] {
+			t.Fatalf("tail %v does not repeat the last converged value %v", s.Eigenvalues[converged:], want[converged-1])
+		}
+	}
+	note := fmt.Sprintf("converged %d of 20 Ritz pairs", converged)
+	if !s.Degraded || len(s.Fallbacks) != 1 || !strings.Contains(s.Fallbacks[0], note) {
+		t.Fatalf("Degraded = %v, Fallbacks = %q; want one entry saying %q", s.Degraded, s.Fallbacks, note)
+	}
+	if s.SolverUsed != SolverChebyshev || s.Kind != laplacian.OutDegreeNormalized {
+		t.Errorf("solved by %v on %v, want Chebyshev on the normalized Laplacian with no escalation", s.SolverUsed, s.Kind)
+	}
+	if n := sc.Counter("core.fallback.padded"); n != 1 {
+		t.Errorf("core.fallback.padded = %d, want 1", n)
 	}
 }

@@ -20,7 +20,11 @@
 // rewrites its journal from memory, so the next transition lands.
 //
 // A result index maps task keys to results (such as artifact hashes), so
-// a later accept of a known key is born Done. Retention forgets the
+// a later accept of a known key is born Done; its accept and done records
+// go to the journal in one append, with one fsync. Retention forgets the
 // oldest terminal tasks, and compaction rewrites the WAL to live state.
+// Every state change updates a queued count, a terminal count, the set
+// of live tasks and the admission order, so no request scans the
+// retained tasks: only List, Evict and compaction visit them all.
 // The table emits no metrics; callers count and log transitions.
 package jobs

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,7 +135,16 @@ type Table[P any] struct {
 	seq     int
 	nextID  int // next generated ID
 	leases  int // leases granted so far
-	appends int // since the last compaction
+	appends int // records since the last compaction
+
+	// setState keeps these in step with every task's State, so that no
+	// request scans the retained tasks: order holds them in admission
+	// order, live the non-terminal ones, and queued and terminal count
+	// the Queued and the terminal ones.
+	order    []*Task[P]
+	live     map[*Task[P]]struct{}
+	queued   int
+	terminal int
 }
 
 // Open replays the journal at path, creating it if absent. A CRC-valid
@@ -149,7 +159,7 @@ func Open[P any](path string, opt Options[P]) (*Table[P], error) {
 	if opt.Key == nil {
 		opt.Key = func(id string, _ P) string { return id }
 	}
-	t := &Table[P]{path: path, opt: opt, wal: wal, tasks: map[string]*Task[P]{}, results: map[string]string{}}
+	t := &Table[P]{path: path, opt: opt, wal: wal, tasks: map[string]*Task[P]{}, results: map[string]string{}, live: map[*Task[P]]struct{}{}}
 	for i, raw := range raws {
 		var rec record
 		err := json.Unmarshal(raw, &rec)
@@ -186,7 +196,7 @@ func (t *Table[P]) replay(rec record) error {
 		t.insert(rec.ID, rec.Priority, data, rec.Cached)
 	case "done":
 		if task != nil && t.opt.Verify != nil && !t.opt.Verify(task.Key, rec.SHA) {
-			task.State = Queued // the result is gone or altered: run again
+			t.setState(task, Queued) // the result is gone or altered: run again
 			return nil
 		}
 		fallthrough
@@ -208,15 +218,47 @@ func (t *Table[P]) replay(rec record) error {
 }
 
 // insert adds a Queued task. A generated ID ("j" and a number) advances
-// the ID counter, so a replayed one is never issued again.
+// the ID counter, so a replayed one is never issued again. A task already
+// under id is replaced, as when a caller reuses an ID that retention
+// forgot and the journal still holds its first accept.
 func (t *Table[P]) insert(id string, priority int, data P, cached bool) *Task[P] {
-	task := &Task[P]{ID: id, Key: t.opt.Key(id, data), Priority: priority, Data: data, Cached: cached, State: Queued, seq: t.seq}
+	if old := t.tasks[id]; old != nil {
+		t.setState(old, Shed) // out of the queue and the live set
+		t.terminal--
+		t.order = slices.DeleteFunc(t.order, func(o *Task[P]) bool { return o == old })
+	}
+	task := &Task[P]{ID: id, Key: t.opt.Key(id, data), Priority: priority, Data: data, Cached: cached, seq: t.seq}
 	t.seq++
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n >= t.nextID {
 		t.nextID = n + 1
 	}
 	t.tasks[id] = task
+	t.setState(task, Queued)
 	return task
+}
+
+// setState moves task to state, keeping the counts and the live set in
+// step; a task with no state yet is new and joins the admission order.
+// Every state change goes through here.
+func (t *Table[P]) setState(task *Task[P], state string) {
+	switch {
+	case task.State == "":
+		t.order = append(t.order, task)
+	case task.State == Queued:
+		t.queued--
+	case terminal(task.State):
+		t.terminal--
+	}
+	task.State = state
+	switch {
+	case state == Queued:
+		t.queued++
+	case terminal(state):
+		t.terminal++
+		delete(t.live, task)
+		return
+	}
+	t.live[task] = struct{}{}
 }
 
 // apply moves task as rec describes, for live transitions once rec is
@@ -225,29 +267,29 @@ func (t *Table[P]) insert(id string, priority int, data P, cached bool) *Task[P]
 func (t *Table[P]) apply(task *Task[P], rec record) {
 	switch rec.Kind {
 	case "claim":
-		task.State = Running
+		t.setState(task, Running)
 		task.Owner, task.Lease, task.Attempts = rec.Owner, rec.Lease, rec.Attempt
 		if rec.Lease != "" {
 			t.leases++
 			task.Expiry = obs.Now().Add(t.opt.LeaseTTL)
 		}
 	case "retry":
-		task.State = Queued
+		t.setState(task, Queued)
 		task.Attempts = rec.Attempt
 		task.ErrKind, task.Err, task.WallMS = rec.ErrKind, rec.Error, rec.WallMS
 		task.NotBefore = obs.Now().Add(t.backoff(rec.Attempt))
 	case "done":
-		task.State = Done
+		t.setState(task, Done)
 		task.Result, task.WallMS, task.ErrKind, task.Err = rec.SHA, rec.WallMS, "", ""
 		if task.Key != "" {
 			t.results[task.Key] = rec.SHA
 		}
 	case "fail":
-		task.State = Failed
+		t.setState(task, Failed)
 		task.ErrKind, task.Err, task.WallMS = rec.ErrKind, rec.Error, rec.WallMS
 		task.Attempts = max(task.Attempts, rec.Attempt)
 	case "shed":
-		task.State = Shed
+		t.setState(task, Shed)
 	}
 }
 
@@ -258,15 +300,44 @@ func (a *Task[P]) before(b *Task[P]) bool {
 
 func terminal(state string) bool { return state == Done || state == Failed || state == Shed }
 
-// appendLocked journals rec durably; the caller applies the transition
-// only after a nil return. Caller holds t.mu.
-func (t *Table[P]) appendLocked(rec record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: marshal WAL record: %w", err)
+// bestLocked returns the best-ranked queued task whose backoff has ended
+// by now, or nil. Caller holds t.mu.
+func (t *Table[P]) bestLocked(now time.Time) *Task[P] {
+	var pick *Task[P]
+	for q := range t.live {
+		if q.State == Queued && !now.Before(q.NotBefore) && (pick == nil || q.before(pick)) {
+			pick = q
+		}
+	}
+	return pick
+}
+
+// worstLocked returns the worst-ranked queued task, or nil. Caller holds
+// t.mu.
+func (t *Table[P]) worstLocked() *Task[P] {
+	var worst *Task[P]
+	for q := range t.live {
+		if q.State == Queued && (worst == nil || worst.before(q)) {
+			worst = q
+		}
+	}
+	return worst
+}
+
+// appendLocked journals recs durably, with one write and one fsync; the
+// caller applies the transitions only after a nil return. Caller holds
+// t.mu.
+func (t *Table[P]) appendLocked(recs ...record) error {
+	raws := make([][]byte, len(recs))
+	for i, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("jobs: marshal WAL record: %w", err)
+		}
+		raws[i] = b
 	}
 	//lint:ignore lock-blocking append-before-effect: every journaled transition appends under t.mu, so the record and the state change it describes are one atomic step
-	if err := t.wal.Append(b); err != nil {
+	if err := t.wal.Append(raws...); err != nil {
 		// The journal refuses appends after a failed one until reopened.
 		// Rewrite it from the table, which never took this transition, so
 		// the next one can land without a restart.
@@ -275,16 +346,16 @@ func (t *Table[P]) appendLocked(rec record) error {
 		}
 		return err
 	}
-	t.appends++
+	t.appends += len(recs)
 	return nil
 }
 
 // Accept adds a task under id, or under the next generated ID when id is
 // "". A task whose key is in the result index is journaled as accept
-// plus done and returned Done and Cached. Otherwise admit, if non-nil,
-// may refuse it after seeing every Queued and Running task; admit runs
-// under the table lock, so its verdict and the insert are one atomic
-// step, and it must not call the table.
+// plus done, in one append, and returned Done and Cached. Otherwise
+// admit, if non-nil, may refuse it after seeing every Queued and Running
+// task; admit runs under the table lock, so its verdict and the insert
+// are one atomic step, and it must not call the table.
 func (t *Table[P]) Accept(id string, priority int, data P, admit func(live []Task[P]) error) (Task[P], error) {
 	raw, err := json.Marshal(data)
 	if err != nil {
@@ -297,26 +368,24 @@ func (t *Table[P]) Accept(id string, priority int, data P, admit func(live []Tas
 	}
 	result, hit := t.results[t.opt.Key(id, data)]
 	if !hit && admit != nil {
-		var live []Task[P]
-		for _, task := range t.tasks {
-			if !terminal(task.State) {
-				live = append(live, *task)
-			}
+		live := make([]Task[P], 0, len(t.live))
+		for task := range t.live {
+			live = append(live, *task)
 		}
 		if err := admit(live); err != nil {
 			return Task[P]{}, err
 		}
 	}
-	if err := t.appendLocked(record{Kind: "accept", ID: id, Priority: priority, Cached: hit, Data: raw}); err != nil {
+	recs := []record{{Kind: "accept", ID: id, Priority: priority, Cached: hit, Data: raw}}
+	if hit {
+		recs = append(recs, record{Kind: "done", ID: id, SHA: result})
+	}
+	if err := t.appendLocked(recs...); err != nil {
 		return Task[P]{}, err
 	}
 	task := t.insert(id, priority, data, hit)
 	if hit {
-		done := record{Kind: "done", ID: id, SHA: result}
-		if err := t.appendLocked(done); err != nil {
-			return Task[P]{}, err
-		}
-		t.apply(task, done)
+		t.apply(task, recs[1])
 	}
 	t.tidyLocked()
 	return *task, nil
@@ -330,13 +399,7 @@ func (t *Table[P]) Claim(owner string) (task Task[P], ok bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.expireLocked()
-	now := obs.Now()
-	var pick *Task[P]
-	for _, q := range t.tasks {
-		if q.State == Queued && !now.Before(q.NotBefore) && (pick == nil || q.before(pick)) {
-			pick = q
-		}
-	}
+	pick := t.bestLocked(obs.Now())
 	if pick == nil {
 		return Task[P]{}, false, nil
 	}
@@ -439,10 +502,14 @@ func (t *Table[P]) expireLocked() {
 		return
 	}
 	now := obs.Now()
-	for _, task := range t.sortedLocked() {
-		if task.State != Running || now.Before(task.Expiry) {
-			continue
+	var expired []*Task[P]
+	for task := range t.live {
+		if task.State == Running && !now.Before(task.Expiry) {
+			expired = append(expired, task)
 		}
+	}
+	sort.Slice(expired, func(i, k int) bool { return expired[i].seq < expired[k].seq })
+	for _, task := range expired {
 		msg := fmt.Sprintf("lease %s expired (worker %s stopped renewing)", task.Lease, task.Owner)
 		if err := t.failLocked(task, KindExpired, msg, 0); err != nil {
 			t.opt.Logf("jobs: expiring %s (will retry): %v", task.ID, err)
@@ -455,12 +522,7 @@ func (t *Table[P]) expireLocked() {
 func (t *Table[P]) ShedLowest() (task Task[P], ok bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var worst *Task[P]
-	for _, q := range t.tasks {
-		if q.State == Queued && (worst == nil || worst.before(q)) {
-			worst = q
-		}
-	}
+	worst := t.worstLocked()
 	if worst == nil {
 		return Task[P]{}, false, nil
 	}
@@ -490,7 +552,7 @@ func (t *Table[P]) List() []Task[P] {
 	defer t.mu.Unlock()
 	t.expireLocked()
 	var out []Task[P]
-	for _, task := range t.sortedLocked() {
+	for _, task := range t.order {
 		out = append(out, *task)
 	}
 	return out
@@ -507,15 +569,10 @@ func (t *Table[P]) Reprioritize(id string, priority int) {
 }
 
 // Queued returns the number of Queued tasks.
-func (t *Table[P]) Queued() (n int) {
+func (t *Table[P]) Queued() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, task := range t.tasks {
-		if task.State == Queued {
-			n++
-		}
-	}
-	return n
+	return t.queued
 }
 
 // Pending returns how many tasks are not terminal, and the earliest time
@@ -525,11 +582,7 @@ func (t *Table[P]) Pending() (n int, next time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.expireLocked()
-	for _, task := range t.tasks {
-		if terminal(task.State) {
-			continue
-		}
-		n++
+	for task := range t.live {
 		at := task.Expiry
 		if task.State == Queued {
 			at = task.NotBefore
@@ -538,7 +591,7 @@ func (t *Table[P]) Pending() (n int, next time.Time) {
 			next = at
 		}
 	}
-	return n, next
+	return len(t.live), next
 }
 
 // Wait blocks until every task is terminal or ctx ends, sweeping lapsed
@@ -589,37 +642,43 @@ func (t *Table[P]) Close() error {
 	return t.wal.Close()
 }
 
-// sortedLocked returns the tasks in admission order. Caller holds t.mu.
-func (t *Table[P]) sortedLocked() []*Task[P] {
-	out := make([]*Task[P], 0, len(t.tasks))
-	for _, task := range t.tasks {
-		out = append(out, task)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
-	return out
-}
-
 // tidyLocked applies retention, then compacts once enough appends have
 // piled up; a failed compaction is logged and retried later, since the
 // transition before it is already durable. Caller holds t.mu.
 func (t *Table[P]) tidyLocked() {
-	var term []*Task[P]
-	for _, task := range t.tasks {
-		if terminal(task.State) {
-			term = append(term, task)
-		}
-	}
-	if t.opt.Retain > 0 && len(term) > t.opt.Retain {
-		sort.Slice(term, func(i, k int) bool { return term[i].seq < term[k].seq })
-		for _, task := range term[:len(term)-t.opt.Retain] {
-			delete(t.tasks, task.ID)
-		}
+	if drop := t.terminal - t.opt.Retain; t.opt.Retain > 0 && drop > 0 {
+		t.forgetOldestLocked(drop)
 	}
 	if t.opt.CompactEvery > 0 && t.appends >= t.opt.CompactEvery {
 		if err := t.compactLocked(); err != nil {
 			t.opt.Logf("WAL compaction failed (will retry): %v", err)
 		}
 	}
+}
+
+// forgetOldestLocked drops the drop oldest terminal tasks. It walks the
+// order only as far as the last of them, and the live tasks it passes
+// slide up behind it, so the order stays dense and in admission order.
+// Caller holds t.mu.
+func (t *Table[P]) forgetOldestLocked(drop int) {
+	end := 0
+	for n := 0; n < drop; end++ {
+		if terminal(t.order[end].State) {
+			n++
+		}
+	}
+	keep := end
+	for i := end - 1; i >= 0; i-- {
+		if task := t.order[i]; terminal(task.State) {
+			delete(t.tasks, task.ID)
+		} else {
+			keep--
+			t.order[keep] = task
+		}
+	}
+	clear(t.order[:keep])
+	t.order = t.order[keep:]
+	t.terminal -= drop
 }
 
 // snapshot returns the records that replay task into its current state.
@@ -661,7 +720,7 @@ func (t *Table[P]) compactLocked() error {
 	for _, k := range keys {
 		recs = append(recs, record{Kind: "result", Key: k, SHA: t.results[k]})
 	}
-	for _, task := range t.sortedLocked() {
+	for _, task := range t.order {
 		snap, err := t.snapshot(task)
 		if err != nil {
 			return err

@@ -1,9 +1,11 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -196,6 +198,33 @@ func TestForeignRecordRefusedNamingFile(t *testing.T) {
 	_, err = Open(path, Options[item]{Logf: t.Logf})
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `unknown kind "grant"`) {
 		t.Fatalf("Open on a foreign record = %v, want a refusal naming %s", err, path)
+	}
+}
+
+// Accepting an ID the table already holds replaces that task, as replay
+// of a journal holding two accepts of one ID does; the replaced task
+// leaves the queue, the live set and the order with it.
+func TestAcceptOfAHeldIDReplacesTheTask(t *testing.T) {
+	tab := openTable(t, filepath.Join(t.TempDir(), "jobs.jsonl"), Options[item]{})
+	defer tab.Close()
+	for _, name := range []string{"a", "b"} {
+		if _, err := tab.Accept(name, 0, item{Name: name}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := tab.Claim("w"); err != nil || !ok {
+		t.Fatalf("claim = %v, %v", ok, err)
+	}
+	if _, err := tab.Accept("a", 0, item{Name: "a2"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, task := range tab.List() {
+		got = append(got, task.ID+":"+task.Key+":"+task.State)
+	}
+	n, _ := tab.Pending()
+	if strings.Join(got, " ") != "b:b:queued a:a2:queued" || n != 2 || tab.Queued() != 2 {
+		t.Fatalf("table holds %v with %d pending and %d queued, want b then the new a, both queued", got, n, tab.Queued())
 	}
 }
 
@@ -417,5 +446,124 @@ func TestFailedAppendRecoversWithoutRestart(t *testing.T) {
 	}
 	if want := "a:done c:queued"; strings.Join(got, " ") != want {
 		t.Fatalf("replayed %v, want %s", got, want)
+	}
+}
+
+// countSyncs counts the fsyncs of every file it wraps.
+type countSyncs struct {
+	persist.File
+	n *int
+}
+
+func (f countSyncs) Sync() error {
+	*f.n++
+	return f.File.Sync()
+}
+
+// A cache hit journals its accept and done records in one append, with
+// one fsync. A crash that cuts that write leaves the accept without its
+// done at worst, so the reopened table holds the job queued, to be run
+// again, or not at all; never done without a done record.
+func TestTornCachedAcceptReplaysQueued(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	syncs := 0
+	persist.WrapFile = func(f persist.File) persist.File { return countSyncs{File: f, n: &syncs} }
+	t.Cleanup(func() { persist.WrapFile = nil })
+	tab := openTable(t, path, Options[item]{})
+	if _, err := tab.Accept("a", 0, item{Name: "k"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Complete("a", "sha-k", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs = 0
+	if task, err := tab.Accept("b", 0, item{Name: "k"}, nil); err != nil || !task.Cached {
+		t.Fatalf("accept of a known key = %+v, %v; want a cache hit", task, err)
+	}
+	if syncs != 1 {
+		t.Fatalf("a cache hit took %d fsyncs, want 1", syncs)
+	}
+	persist.WrapFile = nil
+	if err := tab.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept := bytes.IndexByte(full[len(before):], '\n') + 1 + len(before) // end of b's accept frame
+	for cut := len(before); cut <= len(full); cut++ {
+		want := "a:done"
+		switch {
+		case cut == len(full):
+			want = "a:done b:done"
+		case cut >= accept:
+			want = "a:done b:queued"
+		}
+		if err := persist.WriteFileAtomic(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tab := openTable(t, path, Options[item]{})
+		var got []string
+		for _, task := range tab.List() {
+			got = append(got, task.ID+":"+task.State)
+		}
+		queued := tab.Queued()
+		if err := tab.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, " ") != want || queued != strings.Count(want, "queued") {
+			t.Fatalf("cut at byte %d of %d: replayed %v with %d queued, want %s", cut, len(full), got, queued, want)
+		}
+	}
+}
+
+// BenchmarkAcceptCached times a cache hit against a table holding n done
+// tasks, with retention at n, so every hit also forgets the oldest task.
+// With compaction off its cost should not grow with n. With compaction
+// every 1024 records, as graphiod runs, every 512th hit also rewrites the
+// journal from all n tasks.
+func BenchmarkAcceptCached(b *testing.B) {
+	for _, compact := range []int{0, 1024} {
+		for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
+			b.Run(fmt.Sprintf("compact=%d/retained=%d", compact, n), func(b *testing.B) {
+				path := filepath.Join(b.TempDir(), "jobs.jsonl")
+				opt := Options[item]{Key: func(_ string, d item) string { return d.Name }, Retain: n, Logf: b.Logf}
+				// Fill without fsync or compaction, then reopen on the real file.
+				persist.WrapFile = func(f persist.File) persist.File { return noSync{f} }
+				tab, err := Open(path, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					key := fmt.Sprintf("k%d", i)
+					if _, err := tab.Accept("", 0, item{Name: key}, nil); err != nil {
+						b.Fatal(err)
+					}
+					if err := tab.Complete(fmt.Sprintf("j%06d", i), "sha-"+key, 0, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				persist.WrapFile = nil
+				if err := tab.Close(); err != nil {
+					b.Fatal(err)
+				}
+				opt.CompactEvery = compact
+				if tab, err = Open(path, opt); err != nil {
+					b.Fatal(err)
+				}
+				defer tab.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := tab.Accept("", 0, item{Name: fmt.Sprintf("k%d", i%n)}, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

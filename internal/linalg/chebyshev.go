@@ -90,15 +90,25 @@ func ChebFilteredSmallest(A Operator, c float64, h int, opt *ChebOptions) ([]flo
 // deadline or cancellation interrupts the solve without waiting for the
 // full subspace iteration to run its course.
 func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h int, opt *ChebOptions) ([]float64, error) {
+	vals, _, err := ChebFilteredSmallestPadded(ctx, A, c, h, opt)
+	return vals, err
+}
+
+// ChebFilteredSmallestPadded is ChebFilteredSmallestContext that also
+// returns how many of the values are converged Ritz values. That is all
+// of them unless the sweeps ran out first; then the values past the
+// converged prefix repeat its last one, which keeps them sound lower
+// estimates but weaker than the true tail.
+func ChebFilteredSmallestPadded(ctx context.Context, A Operator, c float64, h int, opt *ChebOptions) ([]float64, int, error) {
 	n := A.Dim()
 	if h <= 0 {
-		return nil, errors.New("linalg: ChebFilteredSmallest: h must be positive")
+		return nil, 0, errors.New("linalg: ChebFilteredSmallest: h must be positive")
 	}
 	if h > n {
 		h = n
 	}
 	if n == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	o := opt.withDefaults(n, h)
 	b := o.Block
@@ -137,7 +147,7 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 	// smallest eigenvalue sits. Adapted every iteration afterwards.
 	aCut := pilotCut(ctx, A, c, h, rng)
 	if err := ctxErr(ctx, "Chebyshev"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	var theta []float64
@@ -165,7 +175,7 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 
 	for iter := 0; iter < o.MaxIter; iter++ {
 		if err := ctxErr(ctx, "Chebyshev"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		sweeps++
 		// Precision cap on the filter degree: the amplification ratio
@@ -189,25 +199,25 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 		// Filter the block: X ← p(A)·X with p the scaled Chebyshev
 		// polynomial on [aCut, c].
 		if err := blk.filter(ctx, t, A, aCut, c, degEff); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		blk.orthonormalize(t, rng)
 
 		// Rayleigh-Ritz on the filtered subspace: W = A·X, H = XᵀW.
 		t.mulBlock(ctx, A, blk.w, blk.x, b, nil)
 		if err := ctxErr(ctx, "Chebyshev"); err != nil {
-			return nil, err // the product bailed out mid-block
+			return nil, 0, err // the product bailed out mid-block
 		}
 		blk.gram(t)
 		if err := CheckFinite("Chebyshev Gram matrix", blk.proj.Data); err != nil {
 			// A poisoned mat-vec (NaN/Inf leak) shows up in the projected
 			// matrix before anywhere else; fail typed instead of feeding the
 			// dense eigensolver garbage.
-			return nil, err
+			return nil, 0, err
 		}
 		vals, S, err := SymEig(blk.proj, true)
 		if err != nil {
-			return nil, fmt.Errorf("linalg: Chebyshev Rayleigh-Ritz: %w", err)
+			return nil, 0, fmt.Errorf("linalg: Chebyshev Rayleigh-Ritz: %w", err)
 		}
 		theta = vals
 		blk.rotate(t, S)
@@ -230,7 +240,7 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 				obs.F("theta_h", theta[h-1]))
 		}
 		if worst <= tol {
-			return clampSpectrum(theta[:h:h], scale), nil
+			return clampSpectrum(theta[:h:h], scale), h, nil
 		}
 
 		// Adapt the cut: place it in the largest relative gap at or above
@@ -307,7 +317,7 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 		p++
 	}
 	if p == 0 {
-		return nil, &NotConvergedError{
+		return nil, 0, &NotConvergedError{
 			Solver: "Chebyshev", Requested: h, Converged: 0,
 			Reason: fmt.Sprintf("no Ritz pair converged in %d sweeps", o.MaxIter),
 		}
@@ -324,7 +334,7 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 	for i := p; i < h; i++ {
 		out[i] = theta[p-1]
 	}
-	return clampSpectrum(out, scale), nil
+	return clampSpectrum(out, scale), p, nil
 }
 
 // clampSpectrum zeroes the tiny negatives PSD round-off produces.
@@ -756,19 +766,61 @@ const tileRows = 64
 // mulNN sets c(r, j) = Σ_{q<k} a(r, q)·s(q, j) for rows r in [lo, hi) and
 // columns j < m, accumulating from zero in q order — the sums an Axpy of
 // s(q, j) times column q per q would build. With sub it subtracts the
-// terms from c(r, j) instead.
+// terms from c(r, j) instead. The rows of s go by tileRows at a time, so
+// they stay in cache while every tile passes over them; a tile parks its
+// sums in c between chunks, which leaves each sum's sequence of additions
+// unchanged. Two-by-four tiles keep eight independent sums in registers.
 func mulNN(c, a, s mat, k, lo, hi, m int, sub bool) {
-	for r := lo; r < hi; r++ {
-		out := c.data[r*c.ld:][:m:m]
-		if !sub {
-			clear(out)
+	if !sub {
+		for r := lo; r < hi; r++ {
+			clear(c.data[r*c.ld:][:m])
 		}
-		for q, x := range a.data[r*a.ld:][:k:k] {
-			if sub {
-				x = -x
+	}
+	for q0 := 0; q0 < k; q0 += tileRows {
+		q1 := min(q0+tileRows, k)
+		for r := lo; r < hi; r += 2 {
+			j := 0
+			if r+1 < hi {
+				c0, c1 := c.data[r*c.ld:][:m:m], c.data[(r+1)*c.ld:][:m:m]
+				a0, a1 := a.data[r*a.ld:][:k:k], a.data[(r+1)*a.ld:][:k:k]
+				for ; j+4 <= m; j += 4 {
+					s00, s01, s02, s03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
+					s10, s11, s12, s13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
+					ps := q0*s.ld + j
+					for q := q0; q < q1; q++ {
+						x0, x1 := a0[q], a1[q]
+						if sub {
+							x0, x1 = -x0, -x1
+						}
+						sq := s.data[ps : ps+4 : ps+4]
+						v0, v1, v2, v3 := sq[0], sq[1], sq[2], sq[3]
+						s00 += x0 * v0
+						s01 += x0 * v1
+						s02 += x0 * v2
+						s03 += x0 * v3
+						s10 += x1 * v0
+						s11 += x1 * v1
+						s12 += x1 * v2
+						s13 += x1 * v3
+						ps += s.ld
+					}
+					c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
+					c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
+				}
 			}
-			for j, v := range s.data[q*s.ld:][:m:m] {
-				out[j] += x * v
+			// The columns left over, and an odd last row, one entry at a time.
+			for rr := r; rr < min(r+2, hi); rr++ {
+				for jj := j; jj < m; jj++ {
+					sum := c.data[rr*c.ld+jj]
+					for q := q0; q < q1; q++ {
+						x := a.data[rr*a.ld+q]
+						if sub {
+							x = -x
+						}
+						sum += x * s.data[q*s.ld+jj]
+					}
+					c.data[rr*c.ld+jj] = sum
+				}
 			}
 		}
 	}

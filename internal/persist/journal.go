@@ -172,17 +172,23 @@ func parseLine(raw []byte) ([]byte, error) {
 	return jl.Rec, nil
 }
 
-// Append frames rec (which must be a single line of valid JSON), writes
-// it, and fsyncs. When Append returns nil the record is durable.
-func (j *Journal) Append(rec []byte) error {
-	frame, err := FrameRecord(rec)
-	if err != nil {
-		return fmt.Errorf("%w (journal %s)", err, j.path)
+// Append frames each of recs (each a single line of valid JSON), writes
+// the frames with one write, and fsyncs once. When Append returns nil
+// every record is durable. A crash mid-write can leave the leading
+// frames whole and the next one torn; OpenJournal keeps the whole ones.
+func (j *Journal) Append(recs ...[]byte) error {
+	var frames []byte
+	for _, rec := range recs {
+		frame, err := FrameRecord(rec)
+		if err != nil {
+			return fmt.Errorf("%w (journal %s)", err, j.path)
+		}
+		frames = append(frames, frame...)
 	}
 	if j.failed != nil {
 		return fmt.Errorf("persist: journal %s refuses appends after a failed one (reopen to recover): %w", j.path, j.failed)
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(frames); err != nil {
 		j.failed = fmt.Errorf("persist: appending to journal %s: %w", j.path, err)
 		return j.failed
 	}
@@ -190,7 +196,9 @@ func (j *Journal) Append(rec []byte) error {
 		j.failed = fmt.Errorf("persist: syncing journal %s: %w", j.path, err)
 		return j.failed
 	}
-	Count("persist.journal.append")
+	for range recs {
+		Count("persist.journal.append")
+	}
 	return nil
 }
 

@@ -282,6 +282,80 @@ func TestJournalToleratesTornFinalRecord(t *testing.T) {
 	}
 }
 
+// One Append of several records is one write: a crash can cut it at any
+// byte, and replay must then keep every record before the Append plus
+// the frames of it that landed whole, never part of a frame.
+func TestJournalMultiRecordAppendTearsToWholeFrames(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	j, _, err := persist.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte(`{"seq":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte(`{"seq":1}`), []byte("not json")); err == nil {
+		t.Fatal("an Append with a non-JSON record succeeded")
+	}
+	if got := mustReadFile(t, path); got != string(before) {
+		t.Fatalf("a refused Append wrote %q", got[len(before):])
+	}
+	appends := 0
+	count := persist.Count
+	persist.Count = func(name string) {
+		if name == "persist.journal.append" {
+			appends++
+		}
+	}
+	err = j.Append([]byte(`{"seq":1,"kind":"accept"}`), []byte(`{"seq":2,"kind":"done"}`))
+	persist.Count = count
+	if err != nil {
+		t.Fatal(err)
+	}
+	if appends != 2 {
+		t.Errorf("persist.journal.append counted %d for a two-record Append, want 2 (one per record)", appends)
+	}
+	j.Close()
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := persist.FrameRecord([]byte(`{"seq":1,"kind":"accept"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := len(before); cut <= len(full); cut++ {
+		want := 1
+		switch {
+		case cut == len(full):
+			want = 3
+		case cut >= len(before)+len(first):
+			want = 2
+		}
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, recs, err := persist.OpenJournal(path)
+		if err != nil {
+			t.Fatalf("cut at byte %d: %v", cut, err)
+		}
+		j2.Close()
+		if len(recs) != want {
+			t.Fatalf("cut at byte %d of %d: replayed %d records, want %d", cut, len(full), len(recs), want)
+		}
+		for i, rec := range recs {
+			if !strings.HasPrefix(string(rec), fmt.Sprintf(`{"seq":%d`, i)) {
+				t.Fatalf("cut at byte %d: record %d = %s", cut, i, rec)
+			}
+		}
+	}
+}
+
 func TestJournalMidFileCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")

@@ -26,6 +26,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,7 +41,7 @@ func main() {
 		case "submit":
 			os.Exit(cmdSubmit(os.Args[2:]))
 		case "wait":
-			os.Exit(cmdWait(os.Args[2:]))
+			os.Exit(cmdWait(os.Args[2:], os.Stdout))
 		case "metrics":
 			os.Exit(cmdMetrics(os.Args[2:]))
 		}
@@ -237,7 +238,9 @@ func cmdSubmit(args []string) int {
 	return 0
 }
 
-func cmdWait(args []string) int {
+// cmdWait polls each job named by -id until it ends, printing each as it
+// ends; jobs that end in the same poll round print in -id order.
+func cmdWait(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("graphiod wait", flag.ExitOnError)
 	server, token := addClientFlags(fs)
 	ids := fs.String("id", "", "comma-separated job IDs to wait for (required)")
@@ -249,22 +252,23 @@ func cmdWait(args []string) int {
 		return 2
 	}
 	a := &api{server: *server, token: *token, client: http.DefaultClient}
-	pending := map[string]bool{}
+	var pending []string
 	for _, id := range strings.Split(*ids, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			pending[id] = true
+		if id = strings.TrimSpace(id); id != "" && !slices.Contains(pending, id) {
+			pending = append(pending, id)
 		}
 	}
 	allDone := true
 	start := obs.Now()
 	for len(pending) > 0 {
 		if obs.Since(start) > *timeout {
-			for id := range pending {
+			for _, id := range pending {
 				fmt.Fprintf(os.Stderr, "graphiod wait: timed out waiting for %s\n", id)
 			}
 			return 1
 		}
-		for id := range pending {
+		var still []string
+		for _, id := range pending {
 			status, data, err := a.do(http.MethodGet, "/v1/jobs/"+id, nil)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "graphiod wait: %v\n", err)
@@ -281,14 +285,15 @@ func cmdWait(args []string) int {
 			}
 			switch resp.Status {
 			case graphiod.StateDone:
-				fmt.Println(jobLine(resp.JobInfo))
-				delete(pending, id)
+				fmt.Fprintln(stdout, jobLine(resp.JobInfo))
 			case graphiod.StateFailed, graphiod.StateShed:
-				fmt.Println(jobLine(resp.JobInfo))
-				delete(pending, id)
+				fmt.Fprintln(stdout, jobLine(resp.JobInfo))
 				allDone = false
+			default:
+				still = append(still, id)
 			}
 		}
+		pending = still
 		if len(pending) > 0 {
 			timer := time.NewTimer(*poll)
 			<-timer.C

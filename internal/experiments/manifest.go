@@ -11,7 +11,6 @@ package experiments
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -270,12 +269,11 @@ func (m *sweepManifest) reusable(outDir, name string) (*Table, manifestRecord, b
 	if !ok || rec.Status != statusOK || rec.ConfigHash != m.hash || rec.Artifact == "" {
 		return nil, rec, false
 	}
-	path := filepath.Join(outDir, rec.Artifact)
-	sha, err := sha256File(path)
-	if err != nil || sha != rec.SHA256 {
+	data, err := os.ReadFile(filepath.Join(outDir, rec.Artifact))
+	if err != nil || sha256Bytes(data) != rec.SHA256 {
 		return nil, rec, false
 	}
-	t, err := loadTableCSV(path, name, rec.Title)
+	t, err := tableFromCSV(name, rec.Title, data)
 	if err != nil {
 		return nil, rec, false
 	}
@@ -287,37 +285,8 @@ func (m *sweepManifest) close() {
 	_ = m.lock.Release()
 }
 
-// sha256File hashes a file's current content.
-func sha256File(path string) (string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // sha256Bytes hashes an in-memory artifact.
 func sha256Bytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// loadTableCSV reconstructs a Table from its committed CSV plus the title
-// the manifest recorded, for regenerating report.txt on resume without
-// recomputing the experiment.
-func loadTableCSV(path, name, title string) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	records, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("experiments: %s: empty CSV", path)
-	}
-	return &Table{Name: name, Title: title, Columns: records[0], Rows: records[1:]}, nil
 }

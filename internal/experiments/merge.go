@@ -252,9 +252,10 @@ func (m *Merge) Close() {
 	m.man.close()
 }
 
-// tableFromCSV parses uploaded CSV bytes back into a Table, validating the
-// shape early so a torn or garbage upload is rejected at commit time, not
-// discovered when the report renders.
+// tableFromCSV parses CSV bytes back into a Table: a resumed sweep's
+// committed CSV, so report.txt covers a skipped experiment, or a worker's
+// upload, whose shape it checks early so a torn or garbage upload is
+// rejected at commit time, not discovered when the report renders.
 func tableFromCSV(name, title string, data []byte) (*Table, error) {
 	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
 	if err != nil {

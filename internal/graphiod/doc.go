@@ -34,6 +34,7 @@
 // Bounded state. Result keys are validated against the SHA-256 hex shape
 // before they ever form a filesystem path, terminal job rows beyond a
 // retention cap are pruned (their cached artifacts survive), and the job
-// table compacts its WAL to live state, so replay time and memory track
-// live work, not the daemon's lifetime job count.
+// table rewrites its WAL to live state whenever the journal has grown to
+// twice that, so replay time and memory track live work, not the
+// daemon's lifetime job count.
 package graphiod

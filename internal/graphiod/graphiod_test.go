@@ -783,6 +783,30 @@ func TestDataDirLockIsExclusive(t *testing.T) {
 	}
 }
 
+// A write killed mid-commit leaves its temp file beside its target: the
+// compacted job journal in the data dir, an upload in graphs/, an
+// artifact in results/. Opening the data dir removes all three.
+func TestOpenRemovesStaleTempsEverywhereItWrites(t *testing.T) {
+	dir := t.TempDir()
+	var planted []string
+	for _, d := range []string{dir, graphsDir(dir), resultsDir(dir)} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := d + "/.persist-123456.tmp"
+		if err := persist.WriteFileAtomic(path, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		planted = append(planted, path)
+	}
+	newTestServer(t, Config{DataDir: dir, Workers: 1})
+	for _, path := range planted {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived opening the data dir (stat: %v)", path, err)
+		}
+	}
+}
+
 // A data dir whose WAL predates internal/jobs must replay unchanged.
 // testdata/parentwal was written by cmd/graphiod built at commit e72e6c8,
 // run as `graphiod -workers 1 -retain-jobs 4`: it took two fresh jobs, 40

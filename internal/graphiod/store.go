@@ -67,9 +67,14 @@ func openStore(dir string, retain int, logf func(format string, args ...interfac
 	if err != nil {
 		return nil, fmt.Errorf("graphiod: %w", err)
 	}
-	if _, err := persist.RemoveStaleTemps(resultsDir(dir)); err != nil {
-		_ = lock.Release()
-		return nil, err
+	// A write killed mid-commit leaves its temp file beside its target:
+	// the compacted jobs.jsonl in dir, an upload in graphs/, an artifact in
+	// results/.
+	for _, d := range []string{dir, graphsDir(dir), resultsDir(dir)} {
+		if _, err := persist.RemoveStaleTemps(d); err != nil {
+			_ = lock.Release()
+			return nil, err
+		}
 	}
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
@@ -81,10 +86,9 @@ func openStore(dir string, retain int, logf func(format string, args ...interfac
 		// not hash to the journaled SHA runs again. A crash between the
 		// artifact rename and the done append leaves a valid orphan
 		// artifact; the reverse order cannot happen.
-		Verify:       s.verifyArtifact,
-		Retain:       retain,
-		CompactEvery: 1024,
-		Logf:         logf,
+		Verify: s.verifyArtifact,
+		Retain: retain,
+		Logf:   logf,
 	})
 	if err != nil {
 		_ = lock.Release()

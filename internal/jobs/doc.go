@@ -22,8 +22,12 @@
 // A result index maps task keys to results (such as artifact hashes), so
 // a later accept of a known key is born Done; its accept and done records
 // go to the journal in one append, with one fsync. Retention forgets the
-// oldest terminal tasks, and compaction rewrites the WAL to live state.
-// Every state change updates a queued count, a terminal count, the set
+// oldest terminal tasks. Compaction rewrites the WAL to live state once
+// it holds twice what a rewrite writes, so a rewrite costs about one
+// record per append however many tasks are retained, and there is no
+// schedule to set. A compacted journal replays into the table the one it
+// replaced replays into, but for lease deadlines and backoffs, which
+// replay re-arms from the clock. Every state change updates a queued count, a terminal count, the set
 // of live tasks and the admission order, so no request scans the
 // retained tasks: only List, Evict and compaction visit them all.
 // The table emits no metrics; callers count and log transitions.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -28,11 +29,13 @@ var errRefused = errors.New("refused by admit")
 type mTask struct {
 	ID, Key           string
 	Priority, seq     int
+	accepted          int // the priority it was accepted with
 	State             string
 	Attempts          int
 	Owner, Lease      string
 	Expiry, NotBefore time.Time
 	Result, ErrKind   string
+	WallMS            int64
 	Cached            bool
 }
 
@@ -40,7 +43,7 @@ func fromTask(task Task[item]) mTask {
 	return mTask{
 		ID: task.ID, Key: task.Key, Priority: task.Priority, State: task.State, Attempts: task.Attempts,
 		Owner: task.Owner, Lease: task.Lease, Expiry: task.Expiry, NotBefore: task.NotBefore,
-		Result: task.Result, ErrKind: task.ErrKind, Cached: task.Cached,
+		Result: task.Result, ErrKind: task.ErrKind, WallMS: task.WallMS, Cached: task.Cached,
 	}
 }
 
@@ -51,30 +54,32 @@ func (x mTask) String() string {
 		}
 		return strconv.FormatInt(v.UnixMilli()%1e6, 10)
 	}
-	return fmt.Sprintf("%s{key %s prio %d %s attempts %d owner %q lease %q expiry %s notBefore %s result %q err %q cached %v}",
-		x.ID, x.Key, x.Priority, x.State, x.Attempts, x.Owner, x.Lease, at(x.Expiry), at(x.NotBefore), x.Result, x.ErrKind, x.Cached)
+	return fmt.Sprintf("%s{key %s prio %d %s attempts %d owner %q lease %q expiry %s notBefore %s result %q err %q wall %d cached %v}",
+		x.ID, x.Key, x.Priority, x.State, x.Attempts, x.Owner, x.Lease, at(x.Expiry), at(x.NotBefore), x.Result, x.ErrKind, x.WallMS, x.Cached)
 }
 
-// durable is the part of x that replay promises to restore. A local
-// claim is never journaled, so its task comes back queued. Compaction
-// keeps a done or shed task's state and result but not its attempts,
-// and a running task's lease but not its last error. Expiry, backoff and
-// priority are re-derived.
+// reopen turns x into what replay restores, whether or not the journal
+// was compacted, but for the lease deadline and the end of the backoff,
+// which replay re-arms from the clock and reopen clears. Reprioritize is
+// memory-only, so x takes back the priority it was accepted with. A local
+// claim is never journaled: its owner is lost, and a task running under
+// it comes back queued, an attempt short.
+func (x *mTask) reopen(leased bool) {
+	x.Priority = x.accepted
+	if !leased {
+		x.Owner = ""
+		if x.State == Running {
+			x.State = Queued
+			x.Attempts--
+		}
+	}
+	x.Expiry, x.NotBefore = time.Time{}, time.Time{}
+}
+
+// durable renders what replay promises to restore of x.
 func (x mTask) durable(leased bool) string {
-	if x.State == Running && !leased {
-		x.State, x.Attempts, x.Owner, x.ErrKind = Queued, 0, "", "" // local tables run one attempt
-	}
-	if x.State == Done || x.State == Shed {
-		x.Attempts = 0
-	}
-	if x.State != Queued && x.State != Failed {
-		x.ErrKind = ""
-	}
-	if x.State != Running {
-		x.Owner, x.Lease = "", ""
-	}
-	return fmt.Sprintf("%s{key %s %s attempts %d owner %q lease %q result %q err %q cached %v}",
-		x.ID, x.Key, x.State, x.Attempts, x.Owner, x.Lease, x.Result, x.ErrKind, x.Cached)
+	x.reopen(leased)
+	return x.String()
 }
 
 type model struct {
@@ -189,21 +194,21 @@ func (m *model) accept(id string, prio int, key string, refuse bool) (*mTask, []
 		}
 	}
 	m.tasks = slices.DeleteFunc(m.tasks, func(x *mTask) bool { return x.ID == id })
-	task := &mTask{ID: id, Key: key, Priority: prio, seq: m.seq, State: Queued, Cached: hit}
+	task := &mTask{ID: id, Key: key, Priority: prio, accepted: prio, seq: m.seq, State: Queued, Cached: hit}
 	m.seq++
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n >= m.nextID {
 		m.nextID = n + 1
 	}
 	m.tasks = append(m.tasks, task)
 	if hit {
-		m.done(task, result)
+		m.done(task, result, 0)
 	}
 	m.retainTerminal()
 	return task, saw, nil
 }
 
-func (m *model) done(x *mTask, result string) {
-	x.State, x.Result, x.ErrKind = Done, result, ""
+func (m *model) done(x *mTask, result string, wallMS int64) {
+	x.State, x.Result, x.ErrKind, x.WallMS = Done, result, "", wallMS
 	m.results[x.Key] = result
 }
 
@@ -221,13 +226,13 @@ func (m *model) claim(x *mTask, owner string, now time.Time) {
 // of it next, which pins the order of failures and so of their journal
 // records. The backoff's jitter comes from the table's own arithmetic,
 // so the model reads the end of the backoff from what the hook heard.
-func (m *model) failAttempt(x *mTask, kind string) error {
+func (m *model) failAttempt(x *mTask, kind string, wallMS int64) error {
 	if len(m.hooked) == 0 || m.hooked[0].ID != x.ID {
 		return fmt.Errorf("the Failed hook heard %v next, want %s", m.hooked, x.ID)
 	}
 	heard := m.hooked[0]
 	m.hooked = m.hooked[1:]
-	x.ErrKind = kind
+	x.ErrKind, x.WallMS = kind, wallMS
 	if x.Attempts >= m.maxAttempts {
 		x.State = Failed
 	} else {
@@ -252,7 +257,7 @@ func (m *model) expire(now time.Time) error {
 		}
 	}
 	for _, x := range lapsed {
-		if err := m.failAttempt(x, KindExpired); err != nil {
+		if err := m.failAttempt(x, KindExpired, 0); err != nil {
 			return err
 		}
 	}
@@ -281,17 +286,16 @@ func (noSync) Sync() error { return nil }
 
 // runModel drives a table and the model through the operations data
 // encodes and fails t at the first step where they disagree. The first
-// byte picks the configuration: Retain 1–4, CompactEvery 0, 6 or 32, and
-// either graphiod's shape (local claims, one attempt) or dist's (leases,
-// three attempts).
+// byte picks the configuration: Retain 1–4, local claims (graphiod's
+// shape) or leases (dist's), and 1–3 attempts per task.
 func runModel(t *testing.T, data []byte) {
 	in := &opReader{data: data}
 	cfg := in.byte()
-	m := &model{retain: 1 + int(cfg%4), maxAttempts: 1, results: map[string]string{}}
-	opt := Options[item]{Retain: m.retain, CompactEvery: []int{0, 6, 32}[int(cfg/4)%3]}
-	if cfg&16 != 0 {
-		m.ttl, m.maxAttempts = 10*time.Second, 3
-		opt.LeaseTTL, opt.MaxAttempts, opt.RetryDelay = m.ttl, m.maxAttempts, time.Second
+	m := &model{retain: 1 + int(cfg%4), maxAttempts: 1 + int(cfg/8%3), results: map[string]string{}}
+	opt := Options[item]{Retain: m.retain, MaxAttempts: m.maxAttempts, RetryDelay: time.Second}
+	if cfg&4 != 0 {
+		m.ttl = 10 * time.Second
+		opt.LeaseTTL = m.ttl
 	}
 	opt.Failed = func(task Task[item]) { m.hooked = append(m.hooked, task) }
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -308,8 +312,8 @@ func runModel(t *testing.T, data []byte) {
 	var steps []string
 	fatalf := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("config Retain %d CompactEvery %d LeaseTTL %v; after %s:\n"+format,
-			append([]any{opt.Retain, opt.CompactEvery, opt.LeaseTTL, strings.Join(steps, "; ")}, args...)...)
+		t.Fatalf("config Retain %d MaxAttempts %d LeaseTTL %v; after %s:\n"+format,
+			append([]any{opt.Retain, opt.MaxAttempts, opt.LeaseTTL, strings.Join(steps, "; ")}, args...)...)
 	}
 	// pickID names a retained task, or now and then one the table does
 	// not hold.
@@ -328,7 +332,7 @@ func runModel(t *testing.T, data []byte) {
 		return "L999999"
 	}
 	for len(steps) < 400 && in.more() {
-		switch op := in.byte() % 12; op {
+		switch op := in.byte() % 13; op {
 		case 0, 1, 2:
 			key := fmt.Sprintf("k%d", in.byte()%6)
 			prio := int(in.byte() % 3)
@@ -383,22 +387,23 @@ func runModel(t *testing.T, data []byte) {
 				}
 			}
 		case 4:
-			id, result := pickID(), fmt.Sprintf("r%d", in.byte()%3)
-			steps = append(steps, fmt.Sprintf("Complete(%s, %s)", id, result))
-			err := tab.Complete(id, result, 0, nil)
+			id, result, wallMS := pickID(), fmt.Sprintf("r%d", in.byte()%3), int64(in.byte()%3)
+			steps = append(steps, fmt.Sprintf("Complete(%s, %s, %dms)", id, result, wallMS))
+			err := tab.Complete(id, result, time.Duration(wallMS)*time.Millisecond, nil)
 			x := m.find(id)
 			if (err != nil) != (x == nil) {
 				fatalf("Complete error %v for a task the model holds: %v", err, x != nil)
 			}
 			if x != nil && x.State != Done {
-				m.done(x, result)
+				m.done(x, result, wallMS)
 				m.retainTerminal()
 			}
 		case 5:
 			id := pickID()
 			lease := pickLease(id)
-			steps = append(steps, fmt.Sprintf("Fail(%s, %s)", id, lease))
-			got, err := tab.Fail(id, lease, "bad", "boom", 0)
+			wallMS := int64(in.byte() % 3)
+			steps = append(steps, fmt.Sprintf("Fail(%s, %s, %dms)", id, lease, wallMS))
+			got, err := tab.Fail(id, lease, "bad", "boom", time.Duration(wallMS)*time.Millisecond)
 			if err != nil {
 				fatalf("Fail: %v", err)
 			}
@@ -408,7 +413,7 @@ func runModel(t *testing.T, data []byte) {
 			want := mTask{}
 			if x := m.find(id); x != nil {
 				if x.State == Running && x.Lease == lease {
-					if err := m.failAttempt(x, "bad"); err != nil {
+					if err := m.failAttempt(x, "bad", wallMS); err != nil {
 						fatalf("%v", err)
 					}
 				}
@@ -500,7 +505,9 @@ func runModel(t *testing.T, data []byte) {
 			got := tab.List()
 			var gotLines, wantLines []string
 			for _, task := range got {
-				gotLines = append(gotLines, fromTask(task).durable(m.ttl > 0))
+				x := fromTask(task)
+				x.Expiry, x.NotBefore = time.Time{}, time.Time{}
+				gotLines = append(gotLines, x.String())
 			}
 			for _, x := range m.tasks {
 				wantLines = append(wantLines, x.durable(m.ttl > 0))
@@ -510,27 +517,74 @@ func runModel(t *testing.T, data []byte) {
 			}
 			tab.mu.Lock()
 			nextID, leases := tab.nextID, tab.leases
-			m.results = map[string]string{}
-			for k, v := range tab.results {
-				m.results[k] = v
-			}
 			tab.mu.Unlock()
-			// Replaying a compacted journal counts an open lease both in
-			// the meta record and in its claim, so the lease counter may
-			// only run ahead; either way no lease ID is issued twice.
-			if nextID != m.nextID || leases < m.leases {
-				fatalf("reopened counters: next ID %d, leases %d; want %d, ≥ %d", nextID, leases, m.nextID, m.leases)
+			if nextID != m.nextID || leases != m.leases {
+				fatalf("reopened counters: next ID %d, leases %d; want %d, %d", nextID, leases, m.nextID, m.leases)
 			}
-			m.leases = leases
-			// Take over what replay re-derives rather than restores.
 			for i, task := range got {
 				x := m.tasks[i]
-				x.Priority, x.State, x.Attempts, x.Owner, x.Lease = task.Priority, task.State, task.Attempts, task.Owner, task.Lease
-				x.Expiry, x.NotBefore, x.ErrKind = task.Expiry, task.NotBefore, task.ErrKind
+				x.reopen(m.ttl > 0)
+				x.Expiry, x.NotBefore = task.Expiry, task.NotBefore
+			}
+			checkCompactedCopy(t, tab, path, opt, fatalf)
+		case 12:
+			steps = append(steps, "compact")
+			tab.mu.Lock()
+			err := tab.compactLocked()
+			tab.mu.Unlock()
+			if err != nil {
+				fatalf("compact: %v", err)
 			}
 		}
 		checkModel(t, tab, m, now, fatalf)
 	}
+}
+
+// checkCompactedCopy fails unless a copy of the journal at path, opened,
+// compacted and reopened, holds the table tab has just replayed from
+// path: every task field but the lease deadline and the end of the
+// backoff, which replay re-arms from the clock, the admission order, the
+// result index and the ID and lease counters.
+func checkCompactedCopy(t *testing.T, tab *Table[item], path string, opt Options[item], fatalf func(string, ...any)) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	cp := filepath.Join(filepath.Dir(path), "copy.jsonl")
+	if err := persist.WriteFileAtomic(cp, raw, 0o644); err != nil {
+		fatalf("%v", err)
+	}
+	opt.Failed = nil // the copy's replay fails no attempt, so this would not be heard anyway
+	c := openTable(t, cp, opt)
+	c.mu.Lock()
+	err = c.compactLocked()
+	c.mu.Unlock()
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fatalf("compacting the copy: %v", err)
+	}
+	c = openTable(t, cp, opt)
+	defer func() { _ = c.Close() }()
+	if got, want := replayed(c), replayed(tab); got != want {
+		fatalf("a compacted copy of the journal replays into\n%swant\n%s", got, want)
+	}
+}
+
+// replayed renders what replay restores of tab.
+func replayed(tab *Table[item]) string {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	var b strings.Builder
+	fmt.Fprintf(&b, "  next ID %d, leases %d, results %v\n", tab.nextID, tab.leases, tab.results)
+	for _, task := range tab.order {
+		x := *task
+		x.Expiry, x.NotBefore, x.seq = time.Time{}, time.Time{}, 0
+		fmt.Fprintf(&b, "  %+v\n", x)
+	}
+	return b.String()
 }
 
 // checkModel compares the table's bookkeeping with a full scan of its

@@ -49,7 +49,8 @@ type Task[P any] struct {
 	ErrKind string // the last failure's kind and message
 	Err     string
 
-	seq int // admission order
+	seq      int // admission order
+	accepted int // the priority Accept journaled; Reprioritize leaves it
 }
 
 // Options configures a Table; each service sets only what it uses.
@@ -66,11 +67,10 @@ type Options[P any] struct {
 	Failed func(Task[P])
 	// LeaseTTL > 0 journals each claim as a lease that lapses unless
 	// renewed within the TTL; 0 keeps claims memory-only.
-	LeaseTTL     time.Duration
-	MaxAttempts  int           // claims per task; a failure of the last is terminal (min 1)
-	RetryDelay   time.Duration // base of the backoff after a failed attempt
-	Retain       int           // terminal tasks kept, oldest forgotten first (0: all)
-	CompactEvery int           // appends between journal rewrites to live state (0: never)
+	LeaseTTL    time.Duration
+	MaxAttempts int           // claims per task; a failure of the last is terminal (min 1)
+	RetryDelay  time.Duration // base of the backoff after a failed attempt
+	Retain      int           // terminal tasks kept, oldest forgotten first (0: all)
 	// Logf (required) receives failures the table absorbs and retries.
 	Logf func(format string, args ...any)
 }
@@ -135,7 +135,7 @@ type Table[P any] struct {
 	seq     int
 	nextID  int // next generated ID
 	leases  int // leases granted so far
-	appends int // records since the last compaction
+	records int // records in the journal
 
 	// setState keeps these in step with every task's State, so that no
 	// request scans the retained tasks: order holds them in admission
@@ -159,7 +159,7 @@ func Open[P any](path string, opt Options[P]) (*Table[P], error) {
 	if opt.Key == nil {
 		opt.Key = func(id string, _ P) string { return id }
 	}
-	t := &Table[P]{path: path, opt: opt, wal: wal, tasks: map[string]*Task[P]{}, results: map[string]string{}, live: map[*Task[P]]struct{}{}}
+	t := &Table[P]{path: path, opt: opt, wal: wal, tasks: map[string]*Task[P]{}, results: map[string]string{}, live: map[*Task[P]]struct{}{}, records: len(raws)}
 	for i, raw := range raws {
 		var rec record
 		err := json.Unmarshal(raw, &rec)
@@ -172,14 +172,6 @@ func Open[P any](path string, opt Options[P]) (*Table[P], error) {
 		}
 	}
 	t.tidyLocked()
-	// A compacted journal holds at most a meta record, the result index and
-	// two records per task; past 64 dead records, compact before serving.
-	if opt.CompactEvery > 0 && len(raws) > 1+len(t.results)+2*len(t.tasks)+64 {
-		if err := t.compactLocked(); err != nil {
-			_ = t.wal.Close()
-			return nil, err
-		}
-	}
 	return t, nil
 }
 
@@ -227,7 +219,7 @@ func (t *Table[P]) insert(id string, priority int, data P, cached bool) *Task[P]
 		t.terminal--
 		t.order = slices.DeleteFunc(t.order, func(o *Task[P]) bool { return o == old })
 	}
-	task := &Task[P]{ID: id, Key: t.opt.Key(id, data), Priority: priority, Data: data, Cached: cached, seq: t.seq}
+	task := &Task[P]{ID: id, Key: t.opt.Key(id, data), Priority: priority, Data: data, Cached: cached, seq: t.seq, accepted: priority}
 	t.seq++
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n >= t.nextID {
 		t.nextID = n + 1
@@ -268,14 +260,13 @@ func (t *Table[P]) apply(task *Task[P], rec record) {
 	switch rec.Kind {
 	case "claim":
 		t.setState(task, Running)
-		task.Owner, task.Lease, task.Attempts = rec.Owner, rec.Lease, rec.Attempt
+		task.Owner, task.Lease = rec.Owner, rec.Lease
 		if rec.Lease != "" {
 			t.leases++
 			task.Expiry = obs.Now().Add(t.opt.LeaseTTL)
 		}
 	case "retry":
 		t.setState(task, Queued)
-		task.Attempts = rec.Attempt
 		task.ErrKind, task.Err, task.WallMS = rec.ErrKind, rec.Error, rec.WallMS
 		task.NotBefore = obs.Now().Add(t.backoff(rec.Attempt))
 	case "done":
@@ -287,9 +278,20 @@ func (t *Table[P]) apply(task *Task[P], rec record) {
 	case "fail":
 		t.setState(task, Failed)
 		task.ErrKind, task.Err, task.WallMS = rec.ErrKind, rec.Error, rec.WallMS
-		task.Attempts = max(task.Attempts, rec.Attempt)
 	case "shed":
 		t.setState(task, Shed)
+	}
+	// A snapshot record also carries what the task's earlier records set;
+	// on a live record this repeats what the case above set, if anything.
+	task.Attempts = max(task.Attempts, rec.Attempt)
+	if rec.Owner != "" || rec.Lease != "" {
+		task.Owner, task.Lease = rec.Owner, rec.Lease
+	}
+	if rec.ErrKind != "" || rec.Error != "" {
+		task.ErrKind, task.Err = rec.ErrKind, rec.Error
+	}
+	if rec.WallMS != 0 {
+		task.WallMS = rec.WallMS
 	}
 }
 
@@ -346,7 +348,7 @@ func (t *Table[P]) appendLocked(recs ...record) error {
 		}
 		return err
 	}
-	t.appends += len(recs)
+	t.records += len(recs)
 	return nil
 }
 
@@ -450,7 +452,7 @@ func (t *Table[P]) Complete(id, result string, wall time.Duration, commit func(T
 			return err
 		}
 	}
-	rec := record{Kind: "done", ID: id, SHA: result, WallMS: wall.Milliseconds()}
+	rec := record{Kind: "done", ID: id, SHA: result, WallMS: wall.Milliseconds(), Attempt: task.Attempts}
 	if err := t.appendLocked(rec); err != nil {
 		return err
 	}
@@ -615,7 +617,9 @@ func (t *Table[P]) Wait(ctx context.Context, tick time.Duration) error {
 // references, once remove(key) reports its result gone, and returns how
 // many it dropped. remove runs under the table lock, so an Accept of the
 // same key never finds a removed result still indexed; it must not call
-// the table.
+// the table. When it drops any, it rewrites the journal: replay would
+// otherwise restore them from the done records of forgotten tasks, and
+// re-queue those tasks once Verify finds their results gone.
 func (t *Table[P]) Evict(keys []string, remove func(key string) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -630,6 +634,11 @@ func (t *Table[P]) Evict(keys []string, remove func(key string) bool) int {
 			n++
 		}
 	}
+	if n > 0 {
+		if err := t.compactLocked(); err != nil {
+			t.opt.Logf("WAL compaction failed (will retry): %v", err)
+		}
+	}
 	return n
 }
 
@@ -642,14 +651,19 @@ func (t *Table[P]) Close() error {
 	return t.wal.Close()
 }
 
-// tidyLocked applies retention, then compacts once enough appends have
-// piled up; a failed compaction is logged and retried later, since the
-// transition before it is already durable. Caller holds t.mu.
+// tidyLocked applies retention, then compacts once the journal holds
+// more than twice what a compaction writes (a meta record, the result
+// index and at most two records per task), plus 64 records of slack.
+// Unless the live state shrank, a rewrite then follows at least as many
+// appends as it writes, so it costs about one record per append however
+// many tasks are retained. A failed compaction is logged and retried
+// later, since the transition before it is already durable. Caller holds
+// t.mu.
 func (t *Table[P]) tidyLocked() {
 	if drop := t.terminal - t.opt.Retain; t.opt.Retain > 0 && drop > 0 {
 		t.forgetOldestLocked(drop)
 	}
-	if t.opt.CompactEvery > 0 && t.appends >= t.opt.CompactEvery {
+	if t.records > 2*(1+len(t.results)+2*len(t.tasks))+64 {
 		if err := t.compactLocked(); err != nil {
 			t.opt.Logf("WAL compaction failed (will retry): %v", err)
 		}
@@ -681,37 +695,58 @@ func (t *Table[P]) forgetOldestLocked(drop int) {
 	t.terminal -= drop
 }
 
-// snapshot returns the records that replay task into its current state.
+// snapshot returns the records that replay task into what its journaled
+// records replay it into: the accept, with the priority it was accepted
+// with, then one record of its state that also carries what its later
+// records set. A local claim is never journaled, so a task running under
+// one replays queued, an attempt short, and its owner is not written.
 func (t *Table[P]) snapshot(task *Task[P]) ([]record, error) {
 	data, err := json.Marshal(task.Data)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: marshal task data: %w", err)
 	}
-	recs := []record{{Kind: "accept", ID: task.ID, Priority: task.Priority, Cached: task.Cached, Data: data}}
-	next := record{ID: task.ID, Attempt: task.Attempts}
-	switch {
-	case task.State == Queued && task.Attempts > 0:
-		next.Kind, next.ErrKind, next.Error, next.WallMS = "retry", task.ErrKind, task.Err, task.WallMS
-	case task.State == Running && task.Lease != "": // a local claim replays as queued
-		next.Kind, next.Owner, next.Lease = "claim", task.Owner, task.Lease
-	case task.State == Done:
-		next.Kind, next.SHA, next.WallMS = "done", task.Result, task.WallMS
-	case task.State == Failed:
-		next.Kind, next.ErrKind, next.Error, next.WallMS = "fail", task.ErrKind, task.Err, task.WallMS
-	case task.State == Shed:
+	recs := []record{{Kind: "accept", ID: task.ID, Priority: task.accepted, Cached: task.Cached, Data: data}}
+	next := record{ID: task.ID, Attempt: task.Attempts, WallMS: task.WallMS, ErrKind: task.ErrKind, Error: task.Err}
+	if task.Lease != "" { // the last claim was journaled
+		next.Owner, next.Lease = task.Owner, task.Lease
+	}
+	switch task.State {
+	case Queued:
+		next.Kind = "retry"
+	case Running:
+		next.Kind = "claim"
+		if task.Lease == "" { // a local claim: queued, an attempt short
+			next.Kind, next.Attempt = "retry", task.Attempts-1
+		}
+	case Done:
+		next.Kind, next.SHA = "done", task.Result
+	case Failed:
+		next.Kind = "fail"
+	case Shed:
 		next.Kind = "shed"
-	default:
-		return recs, nil
+	}
+	if next.Kind == "retry" && next.Attempt == 0 {
+		return recs, nil // queued and never failed: the accept says it all
 	}
 	return append(recs, next), nil
 }
 
-// compactLocked atomically replaces the journal with live state: a meta
-// record, the result index, and each task's snapshot, which replay into
-// the same table. A failed rewrite leaves the old journal, which is still
-// correct. Caller holds t.mu.
+// compactLocked atomically replaces the journal with live state: each
+// task's snapshot, the result index, and a meta record, which replay into
+// the table the old journal replays into. The result records follow the
+// tasks' done records so the index ends as it stands, and the meta record
+// comes last so the lease counter counts each open lease once. A failed
+// rewrite leaves the old journal, which is still correct. Caller holds
+// t.mu.
 func (t *Table[P]) compactLocked() error {
-	recs := []record{{Kind: "meta", NextID: t.nextID, Leases: t.leases}}
+	var recs []record
+	for _, task := range t.order {
+		snap, err := t.snapshot(task)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, snap...)
+	}
 	keys := make([]string, 0, len(t.results))
 	for k := range t.results {
 		keys = append(keys, k)
@@ -720,18 +755,12 @@ func (t *Table[P]) compactLocked() error {
 	for _, k := range keys {
 		recs = append(recs, record{Kind: "result", Key: k, SHA: t.results[k]})
 	}
-	for _, task := range t.order {
-		snap, err := t.snapshot(task)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, snap...)
-	}
+	recs = append(recs, record{Kind: "meta", NextID: t.nextID, Leases: t.leases})
 	var buf bytes.Buffer
 	for _, rec := range recs {
 		b, err := json.Marshal(rec)
 		if err == nil {
-			//lint:ignore lock-blocking compaction swaps the journal against a frozen table, so it runs under t.mu; CompactEvery amortizes it
+			//lint:ignore lock-blocking compaction swaps the journal against a frozen table, so it runs under t.mu; the size rule in tidyLocked amortizes it
 			b, err = persist.FrameRecord(b)
 		}
 		if err != nil {
@@ -751,7 +780,7 @@ func (t *Table[P]) compactLocked() error {
 	if writeErr != nil {
 		return fmt.Errorf("jobs: compact WAL: %w", writeErr)
 	}
-	t.appends = 0
+	t.records = len(recs)
 	return nil
 }
 

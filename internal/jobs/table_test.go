@@ -37,14 +37,14 @@ func openTable(t *testing.T, path string, opt Options[item]) *Table[item] {
 
 // The WAL and the table must stay proportional to live state, not to
 // every task ever accepted: terminal tasks past the retention cap are
-// pruned, the journal compacts after enough appends, and a compacted
-// journal still replays the result index and never reissues a pruned
-// task's ID.
+// pruned, the journal compacts once it holds twice the live state plus 64
+// records, and a compacted journal still replays the result index and
+// never reissues a pruned task's ID.
 func TestWALCompactionBoundsJournalAndJobTable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	tab := openTable(t, path, Options[item]{Retain: 4, CompactEvery: 8})
+	tab := openTable(t, path, Options[item]{Retain: 4})
 	var lastID string
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 200; i++ {
 		task, err := tab.Accept("", 0, item{Name: "k"}, nil)
 		if err != nil {
 			t.Fatalf("accept %d: %v", i, err)
@@ -68,9 +68,9 @@ func TestWALCompactionBoundsJournalAndJobTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Live state is ≤10 records (meta + 1 result + ≤4 tasks × 2); anything
-	// near the 100 appends means compaction never ran.
-	if len(recs) > 10+8 {
-		t.Fatalf("WAL holds %d records after 50 tasks, want ≤ live+CompactEvery (18)", len(recs))
+	// near the 400 appends means compaction never ran.
+	if len(recs) > 2*10+64 {
+		t.Fatalf("WAL holds %d records after 200 tasks, want ≤ 2×live+64 (84)", len(recs))
 	}
 	if err := tab.Close(); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestWALCompactionBoundsJournalAndJobTable(t *testing.T) {
 	// Reopen: the compacted journal must replay the index (an accept is an
 	// immediate hit) and the meta record must keep IDs monotonic even
 	// though every prior row was pruned.
-	tab = openTable(t, path, Options[item]{Retain: 4, CompactEvery: 8})
+	tab = openTable(t, path, Options[item]{Retain: 4})
 	defer tab.Close()
 	task, err := tab.Accept("", 0, item{Name: "k"}, nil)
 	if err != nil {
@@ -256,6 +256,45 @@ func TestEvictSkipsPinnedKeysAndFailedRemovals(t *testing.T) {
 		if task, err := tab.Accept("", 0, item{Name: name}, nil); err != nil || task.Cached != wantHit {
 			t.Errorf("accept %s = %+v, %v; want cached %v", name, task, err, wantHit)
 		}
+	}
+}
+
+// An eviction survives a restart: the forgotten task whose result it
+// dropped neither restores the entry nor comes back queued once Verify
+// finds its result gone.
+func TestEvictionSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	gone := map[string]bool{}
+	opt := Options[item]{Retain: 1, Verify: func(key, _ string) bool { return !gone[key] }}
+	tab := openTable(t, path, opt)
+	for _, name := range []string{"a", "b"} {
+		if _, err := tab.Accept(name, 0, item{Name: name}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tab.Claim("w"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Complete(name, "sha-"+name, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tab.Evict([]string{"a"}, func(key string) bool { gone[key] = true; return true }); n != 1 {
+		t.Fatalf("Evict = %d, want 1", n)
+	}
+	if err := tab.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tab = openTable(t, path, opt)
+	defer tab.Close()
+	var got []string
+	for _, task := range tab.List() {
+		got = append(got, task.ID+":"+task.State)
+	}
+	if strings.Join(got, " ") != "b:done" {
+		t.Fatalf("reopened table holds %v, want only b:done", got)
+	}
+	if task, err := tab.Accept("", 0, item{Name: "a"}, nil); err != nil || task.Cached {
+		t.Fatalf("accept of the evicted key = %+v, %v; want a fresh task", task, err)
 	}
 }
 
@@ -524,46 +563,46 @@ func TestTornCachedAcceptReplaysQueued(t *testing.T) {
 
 // BenchmarkAcceptCached times a cache hit against a table holding n done
 // tasks, with retention at n, so every hit also forgets the oldest task.
-// With compaction off its cost should not grow with n. With compaction
-// every 1024 records, as graphiod runs, every 512th hit also rewrites the
-// journal from all n tasks.
+// Its cost should not grow with n: the journal is rewritten once it holds
+// twice what a rewrite writes, so a rewrite of the n tasks (3n records)
+// follows at least 1.5n hits. At -benchtime 40000x every size includes at
+// least one rewrite; at 16k retained the first comes after about 32.8k
+// hits.
 func BenchmarkAcceptCached(b *testing.B) {
-	for _, compact := range []int{0, 1024} {
-		for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
-			b.Run(fmt.Sprintf("compact=%d/retained=%d", compact, n), func(b *testing.B) {
-				path := filepath.Join(b.TempDir(), "jobs.jsonl")
-				opt := Options[item]{Key: func(_ string, d item) string { return d.Name }, Retain: n, Logf: b.Logf}
-				// Fill without fsync or compaction, then reopen on the real file.
-				persist.WrapFile = func(f persist.File) persist.File { return noSync{f} }
-				tab, err := Open(path, opt)
-				if err != nil {
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
+		b.Run(fmt.Sprintf("retained=%d", n), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "jobs.jsonl")
+			opt := Options[item]{Key: func(_ string, d item) string { return d.Name }, Retain: n, Logf: b.Logf}
+			// Fill without fsync, then reopen on the real file. The fill
+			// never grows the journal past the size that triggers a rewrite.
+			persist.WrapFile = func(f persist.File) persist.File { return noSync{f} }
+			tab, err := Open(path, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				key := fmt.Sprintf("k%d", i)
+				if _, err := tab.Accept("", 0, item{Name: key}, nil); err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < n; i++ {
-					key := fmt.Sprintf("k%d", i)
-					if _, err := tab.Accept("", 0, item{Name: key}, nil); err != nil {
-						b.Fatal(err)
-					}
-					if err := tab.Complete(fmt.Sprintf("j%06d", i), "sha-"+key, 0, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				persist.WrapFile = nil
-				if err := tab.Close(); err != nil {
+				if err := tab.Complete(fmt.Sprintf("j%06d", i), "sha-"+key, 0, nil); err != nil {
 					b.Fatal(err)
 				}
-				opt.CompactEvery = compact
-				if tab, err = Open(path, opt); err != nil {
+			}
+			persist.WrapFile = nil
+			if err := tab.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if tab, err = Open(path, opt); err != nil {
+				b.Fatal(err)
+			}
+			defer tab.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tab.Accept("", 0, item{Name: fmt.Sprintf("k%d", i%n)}, nil); err != nil {
 					b.Fatal(err)
 				}
-				defer tab.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := tab.Accept("", 0, item{Name: fmt.Sprintf("k%d", i%n)}, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ lint-sarif:
 	go run ./cmd/graphiolint -format sarif -o lint.sarif ./...
 
 # The analyzer's own test suite: `// want` hit/clean fixtures per rule,
-# call-graph unit tests, SARIF golden, baseline round-trip, directives.
+# call-graph unit tests, SARIF golden, directives.
 lint-fixtures:
 	go test -timeout 10m ./internal/lint/
 

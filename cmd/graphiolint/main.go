@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	graphiolint [-format text|json|sarif] [-o file] [-rules a,b]
-//	            [-baseline file] [-write-baseline file] [-list] [patterns...]
+//	graphiolint [-format text|json|sarif] [-o file] [-rules a,b] [-list] [patterns...]
 //
 // Patterns default to ./... and follow the go tool's shape ("./...",
 // "./internal/core", "internal/..."). Exit status: 0 clean (warn-tier
@@ -14,9 +13,7 @@
 //	//lint:ignore <rule> <reason>
 //
 // on or directly above the offending line; the reason is mandatory and a
-// suppression that matches nothing is itself a finding. A baseline file
-// (-write-baseline to create, -baseline to apply) freezes existing debt by
-// (rule, file, message) so only new findings fail the gate.
+// suppression that matches nothing is itself a finding.
 package main
 
 import (
@@ -39,8 +36,6 @@ func run(args []string) int {
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	out := fs.String("o", "", "write findings to this file instead of stdout")
 	rulesFlag := fs.String("rules", "", "comma-separated rule subset to run (default: all)")
-	baselinePath := fs.String("baseline", "", "filter findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write surviving findings to this baseline file and exit 0")
 	list := fs.Bool("list", false, "print the rule catalog and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -102,38 +97,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "graphiolint: %v\n", err)
 		return 2
-	}
-
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "graphiolint: %v\n", err)
-			return 2
-		}
-		var suppressed int
-		diags, suppressed = b.Filter(root, diags)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "graphiolint: %d finding(s) covered by baseline %s\n", suppressed, *baselinePath)
-		}
-	}
-
-	if *writeBaseline != "" {
-		//lint:ignore persist-writes a lint baseline is regenerable tool output, not a durable artifact; plain create keeps the linter free of the persist import cycle
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "graphiolint: %v\n", err)
-			return 2
-		}
-		werr := lint.NewBaseline(root, diags).Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "graphiolint: writing baseline: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "graphiolint: baseline %s written (%d finding(s))\n", *writeBaseline, len(diags))
-		return 0
 	}
 
 	dst := io.Writer(os.Stdout)

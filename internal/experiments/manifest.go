@@ -1,26 +1,21 @@
 package experiments
 
 // Sweep durability. The manifest is an append-only, checksummed JSONL
-// journal (persist.Journal) named manifest.json in outDir. Each completed
-// experiment appends one record carrying the config hash it ran under,
-// its status, and the SHA-256 of its committed CSV, so a later -resume
-// can prove an artifact is both present and current before skipping the
-// recompute. Replay takes the latest record per experiment; a torn final
-// record — the crash case — is discarded by the journal layer.
+// journal (persist.Journal) named manifest.json in outDir, written only
+// through Merge. Each completed experiment appends one record carrying
+// the config hash it ran under, its status, and the SHA-256 of its
+// committed CSV, so a later -resume can prove an artifact is both present
+// and current before skipping the recompute. Replay takes the latest
+// record per experiment; a torn final record — the crash case — is
+// discarded by the journal layer.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"time"
 
 	"graphio/internal/obs"
-	"graphio/internal/persist"
 )
 
 const (
@@ -141,98 +136,6 @@ func (c Config) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// sweepManifest owns the journal and lock for one RunAll invocation.
-type sweepManifest struct {
-	journal *persist.Journal
-	lock    *persist.Lock
-	hash    string
-	prior   map[string]manifestRecord // latest experiment record per name
-	// walls is the previous manifest's wall-time history, captured before
-	// a fresh (non-resume) sweep truncates the journal: the ETA estimator
-	// can then seed itself even when the results themselves are not reused.
-	walls map[string]time.Duration
-}
-
-// openManifest locks outDir, clears stale temp debris, and opens the
-// manifest journal. With resume set, prior records are replayed so the
-// sweep can skip verified work; otherwise the journal starts fresh.
-// Config.LockWait bounds how long the lock acquisition queues behind
-// another live sweep before failing typed (zero: fail immediately).
-func openManifest(ctx context.Context, outDir string, cfg Config, resume bool) (*sweepManifest, error) {
-	lock, err := persist.AcquireLockWait(ctx, filepath.Join(outDir, manifestLockName), cfg.LockWait)
-	if err != nil {
-		if errors.Is(err, persist.ErrLocked) {
-			return nil, fmt.Errorf("%w: %v", ErrSweepLocked, err)
-		}
-		return nil, err
-	}
-	if _, err := persist.RemoveStaleTemps(outDir); err != nil {
-		_ = lock.Release()
-		return nil, err
-	}
-	path := filepath.Join(outDir, ManifestName)
-	walls := readManifestWalls(path)
-	if !resume {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			_ = lock.Release()
-			return nil, err
-		}
-	}
-	journal, records, err := persist.OpenJournal(path)
-	if err != nil {
-		_ = lock.Release()
-		return nil, fmt.Errorf("experiments: opening sweep manifest: %w", err)
-	}
-	m := &sweepManifest{journal: journal, lock: lock, hash: cfg.Hash(), prior: map[string]manifestRecord{}, walls: walls}
-	//lint:ignore ctx-loop replay decodes records already in memory — bounded work with nothing to cancel
-	for _, raw := range records {
-		var rec manifestRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			continue // checksummed but unknown shape: treat as absent
-		}
-		if rec.Kind == recExperiment && rec.Name != "" {
-			m.prior[rec.Name] = rec
-		}
-	}
-	if err := m.append(manifestRecord{Kind: recSweep, ConfigHash: m.hash, Resumed: resume}); err != nil {
-		m.close()
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *sweepManifest) append(rec manifestRecord) error {
-	rec.Time = obs.Now().UTC().Format(time.RFC3339)
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return m.journal.Append(b)
-}
-
-// completed records a successful experiment and its committed artifact.
-// sc, when non-nil and telemetry is enabled, stamps the record with the
-// experiment's scope ID and metric-snapshot digest.
-func (m *sweepManifest) completed(t *Table, sha string, wall time.Duration, sc *obs.Scope) error {
-	rec := manifestRecord{
-		Kind: recExperiment, ConfigHash: m.hash,
-		Name: t.Name, Title: t.Title, Status: statusOK,
-		Artifact: t.Name + ".csv", SHA256: sha, WallMS: wall.Milliseconds(),
-	}
-	stampScope(&rec, sc)
-	return m.append(rec)
-}
-
-// failed records an experiment that ran and errored.
-func (m *sweepManifest) failed(name string, wall time.Duration, cause error, sc *obs.Scope) error {
-	rec := manifestRecord{
-		Kind: recExperiment, ConfigHash: m.hash,
-		Name: name, Status: statusFailed, Error: cause.Error(), WallMS: wall.Milliseconds(),
-	}
-	stampScope(&rec, sc)
-	return m.append(rec)
-}
-
 // stampScope annotates an experiment record with its telemetry scope.
 // Skipped when telemetry is off: the digest of an always-empty snapshot
 // carries no information, and the manifest should stay byte-stable for
@@ -245,44 +148,11 @@ func stampScope(rec *manifestRecord, sc *obs.Scope) {
 	rec.MetricsSHA256 = sc.Digest()
 }
 
-// skipped re-records a verified prior result so the manifest's tail
+// skipped re-records a verified prior result, so the manifest's tail
 // always reflects the latest sweep's view of every experiment.
-func (m *sweepManifest) skipped(prior manifestRecord) error {
-	prior.Kind = recExperiment
-	prior.ConfigHash = m.hash
+func skipped(prior manifestRecord) manifestRecord {
 	prior.Skipped = true
-	prior.Time = ""
-	return m.append(prior)
-}
-
-// report seals the combined report.txt's hash.
-func (m *sweepManifest) report(sha string) error {
-	return m.append(manifestRecord{Kind: recReport, ConfigHash: m.hash, Artifact: "report.txt", SHA256: sha})
-}
-
-// reusable decides whether an experiment can be skipped under the current
-// config: a prior ok record with a matching config hash whose artifact is
-// still on disk with the recorded hash. It returns the reloaded table on
-// success (so report.txt still covers skipped experiments byte-for-byte).
-func (m *sweepManifest) reusable(outDir, name string) (*Table, manifestRecord, bool) {
-	rec, ok := m.prior[name]
-	if !ok || rec.Status != statusOK || rec.ConfigHash != m.hash || rec.Artifact == "" {
-		return nil, rec, false
-	}
-	data, err := os.ReadFile(filepath.Join(outDir, rec.Artifact))
-	if err != nil || sha256Bytes(data) != rec.SHA256 {
-		return nil, rec, false
-	}
-	t, err := tableFromCSV(name, rec.Title, data)
-	if err != nil {
-		return nil, rec, false
-	}
-	return t, rec, true
-}
-
-func (m *sweepManifest) close() {
-	_ = m.journal.Close()
-	_ = m.lock.Release()
+	return prior
 }
 
 // sha256Bytes hashes an in-memory artifact.

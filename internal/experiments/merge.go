@@ -1,13 +1,15 @@
 package experiments
 
-// Merge is the coordinator-facing half of a distributed sweep: it owns an
-// outDir exactly like RunAll does (same single-writer lock, same
-// manifest.json journal, same atomic CSV commits), but the tables arrive
-// over the wire from workers instead of from in-process runners. The
-// resulting directory is indistinguishable from a single-process sweep
-// where it matters: `-resume` replays the merged manifest with unchanged
-// semantics, and FinishReport renders report.txt byte-identically to what
-// RunAll would have written for the same set of surviving experiments.
+// Merge owns a sweep directory: its single-writer lock, the manifest.json
+// journal, the atomic CSV commits and report.txt. Both writers of such a
+// directory go through it — RunAll commits each table as its experiment
+// finishes, and the dist coordinator commits each shard a worker uploads —
+// so a local sweep and a distributed one write the directory with the
+// same code: one function commits a CSV and its ok record, one decides a
+// `-resume` skip, and one renders report.txt. A merged directory therefore
+// resumes like a local one, and its report.txt is byte-identical to a
+// local sweep's over the same surviving tables; its manifest holds the
+// same records with their own times, plus the worker behind each upload.
 //
 // All methods are safe for concurrent use — the coordinator's HTTP
 // handlers commit results as they land.
@@ -16,23 +18,39 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
+	"graphio/internal/obs"
 	"graphio/internal/persist"
 )
 
-// Merge accumulates worker results into one resume-compatible sweep
-// directory. Open with OpenMerge, feed with CommitResult / CommitFailure /
-// CommitPoisoned, seal with FinishReport, release with Close.
+// Merge accumulates the tables of one sweep into a resume-compatible sweep
+// directory. Open with OpenMerge, feed with committed tables and failures
+// (and, from a coordinator, poisoned shards), seal with FinishReport,
+// release with Close.
 type Merge struct {
+	outDir string
+	hash   string // the config hash every record is stamped with
+	// prior holds the latest experiment record per name in the replayed
+	// manifest, and walls the wall-time history of the manifest as it was
+	// before a fresh (non-resume) sweep truncated it, so the ETA estimator
+	// and the coordinator's grant order can seed themselves even when the
+	// results are not reused. Both are fixed at open.
+	prior map[string]manifestRecord
+	walls map[string]time.Duration
+
 	mu       sync.Mutex
-	outDir   string
-	man      *sweepManifest
-	tables   map[string]*Table // latest committed/reused table per shard
+	journal  *persist.Journal
+	lock     *persist.Lock
+	tables   map[string]*Table // latest committed or reused table per name
 	poisoned map[string]poisonNote
 }
 
@@ -43,104 +61,181 @@ type poisonNote struct {
 }
 
 // OpenMerge creates outDir if needed, acquires its single-writer lock
-// (waiting up to cfg.LockWait behind a live holder), and opens the
-// manifest journal. With resume set, prior records are replayed so
-// Reusable can skip shards whose artifacts still verify; otherwise the
-// journal starts fresh, exactly like RunAll without -resume.
+// (waiting up to cfg.LockWait behind a live holder; a lock left by a
+// killed process is stolen), clears stale temp debris, and opens the
+// manifest journal. With resume set, prior records are replayed so the
+// sweep can skip experiments whose artifacts still verify; otherwise the
+// journal starts fresh.
 func OpenMerge(ctx context.Context, outDir string, cfg Config, resume bool) (*Merge, error) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, err
 	}
-	man, err := openManifest(ctx, outDir, cfg, resume)
+	lock, err := persist.AcquireLockWait(ctx, filepath.Join(outDir, manifestLockName), cfg.LockWait)
 	if err != nil {
+		if errors.Is(err, persist.ErrLocked) {
+			return nil, fmt.Errorf("%w: %v", ErrSweepLocked, err)
+		}
 		return nil, err
 	}
-	return &Merge{
-		outDir:   outDir,
-		man:      man,
-		tables:   map[string]*Table{},
-		poisoned: map[string]poisonNote{},
-	}, nil
+	if _, err := persist.RemoveStaleTemps(outDir); err != nil {
+		_ = lock.Release()
+		return nil, err
+	}
+	path := filepath.Join(outDir, ManifestName)
+	walls := readManifestWalls(path)
+	if !resume {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			_ = lock.Release()
+			return nil, err
+		}
+	}
+	journal, records, err := persist.OpenJournal(path)
+	if err != nil {
+		_ = lock.Release()
+		return nil, fmt.Errorf("experiments: opening sweep manifest: %w", err)
+	}
+	m := &Merge{
+		outDir: outDir, hash: cfg.Hash(), prior: map[string]manifestRecord{}, walls: walls,
+		journal: journal, lock: lock, tables: map[string]*Table{}, poisoned: map[string]poisonNote{},
+	}
+	//lint:ignore ctx-loop replay decodes records already in memory — bounded work with nothing to cancel
+	for _, raw := range records {
+		var rec manifestRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			continue // checksummed but unknown shape: treat as absent
+		}
+		if rec.Kind == recExperiment && rec.Name != "" {
+			m.prior[rec.Name] = rec
+		}
+	}
+	if err := m.appendLocked(manifestRecord{Kind: recSweep, ConfigHash: m.hash, Resumed: resume}); err != nil {
+		m.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// appendLocked stamps rec with the time and journals it. Caller holds
+// m.mu, or has not shared m yet.
+func (m *Merge) appendLocked(rec manifestRecord) error {
+	rec.Time = obs.Now().UTC().Format(time.RFC3339)
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	//lint:ignore lock-blocking append-before-effect: every manifest record appends under m.mu, so the record and the table state it describes change in one step
+	return m.journal.Append(b)
 }
 
 // ConfigHash returns the hash the merge's outDir is pinned to; the
 // coordinator hands it to workers at claim time so a misconfigured worker
 // is rejected before it wastes a shard run.
 func (m *Merge) ConfigHash() string {
-	return m.man.hash
+	return m.hash
 }
 
-// Reusable reports whether the named shard's prior artifact verifies under
-// the current config (same hash, CSV still matching its recorded SHA-256).
-// On success the table is reloaded for FinishReport and a skipped record
-// is journaled, mirroring what RunAll's -resume path does in-process.
-func (m *Merge) Reusable(name string) bool {
+// reuse decides a -resume skip. It returns the table this sweep already
+// holds for name, or reloads the artifact of name's prior ok record when
+// that record carries the current config hash and the CSV on disk still
+// has the recorded SHA-256; a reloaded table is journaled as skipped and
+// kept for FinishReport, so report.txt still covers it byte for byte.
+func (m *Merge) reuse(name string) (*Table, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// A table this instance already committed is trivially current — the
 	// ok record sits at the manifest's tail. This is the in-process
 	// coordinator-restart case: the WAL replays against a Merge that
 	// outlived the coordinator, whose prior map predates the commits.
-	if _, ok := m.tables[name]; ok {
-		return true
+	if t, ok := m.tables[name]; ok {
+		return t, true
 	}
-	t, rec, ok := m.man.reusable(m.outDir, name)
-	if !ok {
-		return false
+	rec, ok := m.prior[name]
+	if !ok || rec.Status != statusOK || rec.ConfigHash != m.hash || rec.Artifact == "" {
+		return nil, false
 	}
-	//lint:ignore lock-blocking the skip record and the table reload must land atomically under m.mu or a racing CommitPoisoned could interleave between them
-	if err := m.man.skipped(rec); err != nil {
-		return false
+	data, err := os.ReadFile(filepath.Join(m.outDir, rec.Artifact))
+	if err != nil || sha256Bytes(data) != rec.SHA256 {
+		return nil, false
+	}
+	t, err := tableFromCSV(name, rec.Title, data)
+	if err != nil {
+		return nil, false
+	}
+	if err := m.appendLocked(skipped(rec)); err != nil {
+		return nil, false
 	}
 	m.tables[name] = t
 	delete(m.poisoned, name)
-	return true
+	return t, true
 }
 
-// CommitResult durably lands one shard result: the CSV bytes commit
-// atomically as <name>.csv and the manifest gains an ok record carrying
-// the artifact hash, wall time, and the worker that produced it. Calling
-// it again for the same shard — the lease-race case, where a worker whose
-// lease expired still finishes and uploads — simply overwrites: both
-// results were computed under the same config hash, the manifest's
-// replay-latest semantics make the newer record authoritative, and the
+// Reusable reports whether the named shard's prior artifact verifies under
+// the current config; see reuse.
+func (m *Merge) Reusable(name string) bool {
+	_, ok := m.reuse(name)
+	return ok
+}
+
+// commit durably lands one finished table: csvData commits atomically as
+// <name>.csv, then the manifest gains an ok record carrying its SHA-256,
+// the wall time, the worker that produced it ("" in a local sweep) and,
+// when telemetry is on, scope's ID and metric digest. Committing a name
+// again — the lease-race case, where a worker whose lease expired still
+// finishes and uploads — overwrites: both results were computed under the
+// same config hash, the newer record is authoritative on replay, and the
 // CSV on disk matches it (last-write-wins).
-func (m *Merge) CommitResult(name, title string, csvData []byte, wallMS int64, worker string) error {
-	t, err := tableFromCSV(name, title, csvData)
-	if err != nil {
-		return fmt.Errorf("experiments: shard %s result: %w", name, err)
+func (m *Merge) commit(t *Table, csvData []byte, wallMS int64, worker string, scope *obs.Scope) error {
+	rec := manifestRecord{
+		Kind: recExperiment, ConfigHash: m.hash,
+		Name: t.Name, Title: t.Title, Status: statusOK,
+		Artifact: t.Name + ".csv", SHA256: sha256Bytes(csvData),
+		WallMS: wallMS, Worker: worker,
 	}
+	stampScope(&rec, scope)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	//lint:ignore lock-blocking the CSV artifact and its manifest record must commit atomically under m.mu (last-write-wins correctness); callers needing concurrency keep their own locks out of the way, as the coordinator does
-	if err := persist.WriteFileAtomic(filepath.Join(m.outDir, name+".csv"), csvData, 0o644); err != nil {
+	if err := persist.WriteFileAtomic(filepath.Join(m.outDir, t.Name+".csv"), csvData, 0o644); err != nil {
 		return err
 	}
-	rec := manifestRecord{
-		Kind: recExperiment, ConfigHash: m.man.hash,
-		Name: name, Title: title, Status: statusOK,
-		Artifact: name + ".csv", SHA256: sha256Bytes(csvData),
-		WallMS: wallMS, Worker: worker,
-	}
-	if err := m.man.append(rec); err != nil {
+	if err := m.appendLocked(rec); err != nil {
 		return err
 	}
-	m.tables[name] = t
-	delete(m.poisoned, name)
+	m.tables[t.Name] = t
+	delete(m.poisoned, t.Name)
 	return nil
 }
 
-// CommitFailure records one failed attempt (the shard stays eligible for
-// retry; this is the audit trail, not a verdict).
-func (m *Merge) CommitFailure(name string, wallMS int64, cause error, worker string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	//lint:ignore lock-blocking manifest appends must serialize under m.mu; a failure record is one small journal line
-	return m.man.append(manifestRecord{
-		Kind: recExperiment, ConfigHash: m.man.hash,
+// CommitResult parses one uploaded shard result and commits it; a torn or
+// garbage upload is rejected here, before anything lands on disk, not
+// discovered when the report renders. The title is made valid UTF-8 first,
+// as the manifest's JSON would on the way back, so a resumed sweep renders
+// the same report.
+func (m *Merge) CommitResult(name, title string, csvData []byte, wallMS int64, worker string) error {
+	t, err := tableFromCSV(name, strings.ToValidUTF8(title, "\uFFFD"), csvData)
+	if err != nil {
+		return fmt.Errorf("experiments: shard %s result: %w", name, err)
+	}
+	return m.commit(t, csvData, wallMS, worker, nil)
+}
+
+// fail records one failed attempt at the named experiment. It is the
+// audit trail, not a verdict: a later -resume re-runs the experiment.
+func (m *Merge) fail(name string, wallMS int64, cause error, worker string, scope *obs.Scope) error {
+	rec := manifestRecord{
+		Kind: recExperiment, ConfigHash: m.hash,
 		Name: name, Status: statusFailed, Error: cause.Error(),
 		WallMS: wallMS, Worker: worker,
-	})
+	}
+	stampScope(&rec, scope)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.appendLocked(rec)
+}
+
+// CommitFailure records one failed attempt at a shard; see fail.
+func (m *Merge) CommitFailure(name string, wallMS int64, cause error, worker string) error {
+	return m.fail(name, wallMS, cause, worker, nil)
 }
 
 // CommitPoisoned records that the sweep gave up on a shard after its
@@ -150,9 +245,8 @@ func (m *Merge) CommitFailure(name string, wallMS int64, cause error, worker str
 func (m *Merge) CommitPoisoned(name string, attempts int, cause error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	//lint:ignore lock-blocking the poison record and the table/poisoned-map transition must stay atomic under m.mu (append-before-effect)
-	if err := m.man.append(manifestRecord{
-		Kind: recExperiment, ConfigHash: m.man.hash,
+	if err := m.appendLocked(manifestRecord{
+		Kind: recExperiment, ConfigHash: m.hash,
 		Name: name, Status: statusPoisoned, Error: cause.Error(), Attempts: attempts,
 	}); err != nil {
 		return err
@@ -162,35 +256,13 @@ func (m *Merge) CommitPoisoned(name string, attempts int, cause error) error {
 	return nil
 }
 
-// Poisoned returns the shards the sweep gave up on, in the given canonical
-// order (unordered extras appended — defensive, should not happen).
-func (m *Merge) Poisoned(order []string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var names []string
-	seen := map[string]bool{}
-	for _, name := range order {
-		if _, ok := m.poisoned[name]; ok {
-			names = append(names, name)
-			seen[name] = true
-		}
-	}
-	for name := range m.poisoned {
-		if !seen[name] {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-// FinishReport renders report.txt over every committed table, in the given
-// canonical order (the caller passes the shard list in Runners() order, so
-// the bytes match a single-process RunAll of the same experiments), seals
-// its hash into the manifest, and returns the included table names. Shards
-// the sweep poisoned are appended as an explicit trailer — a degraded
-// sweep produces a partial report that says so, never a silently shrunken
-// one. With nothing committed and nothing poisoned, no report is written
-// (matching RunAll with zero successful experiments).
+// FinishReport renders report.txt over every committed or reused table, in
+// the given canonical order (so the bytes do not depend on the order in
+// which tables arrived), seals its hash into the manifest, and returns the
+// included table names. Shards the sweep poisoned are appended as an
+// explicit trailer — a degraded sweep produces a partial report that says
+// so, never a silently shrunken one. With nothing committed and nothing
+// poisoned, no report is written.
 func (m *Merge) FinishReport(order []string) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -222,40 +294,34 @@ func (m *Merge) FinishReport(order []string) ([]string, error) {
 	if err := persist.WriteFileAtomic(filepath.Join(m.outDir, "report.txt"), buf.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
-	if err := m.man.report(sha256Bytes(buf.Bytes())); err != nil {
+	if err := m.appendLocked(manifestRecord{Kind: recReport, ConfigHash: m.hash, Artifact: "report.txt", SHA256: sha256Bytes(buf.Bytes())}); err != nil {
 		return nil, err
 	}
 	return included, nil
 }
 
 // WallHistory returns the per-experiment wall times the manifest already
-// holds (prior runs included), for coordinators that want to schedule the
-// slowest shards first.
+// held when it was opened (prior runs included), for coordinators that
+// want to schedule the slowest shards first.
 func (m *Merge) WallHistory() map[string]time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]time.Duration, len(m.man.walls))
-	for k, v := range m.man.walls {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(m.walls)
 }
 
 // Close releases the journal and the outDir lock. Committed records and
 // artifacts are already durable (every append and CSV write fsyncs), so a
-// coordinator killed before Close loses nothing but the lock file — which
-// the next open steals from the dead PID.
+// process killed before Close loses nothing but the lock file — which the
+// next open steals from the dead PID.
 func (m *Merge) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	//lint:ignore lock-blocking final journal close at shutdown; holding m.mu keeps a straggling commit from appending to a closed journal
-	m.man.close()
+	_ = m.journal.Close()
+	_ = m.lock.Release()
 }
 
 // tableFromCSV parses CSV bytes back into a Table: a resumed sweep's
 // committed CSV, so report.txt covers a skipped experiment, or a worker's
-// upload, whose shape it checks early so a torn or garbage upload is
-// rejected at commit time, not discovered when the report renders.
+// upload.
 func tableFromCSV(name, title string, data []byte) (*Table, error) {
 	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
 	if err != nil {

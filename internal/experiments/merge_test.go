@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphio/internal/persist"
 )
 
 // csvBytes renders a table the way a worker uploads it.
@@ -163,9 +165,6 @@ func TestMergePoisonedSurvivesResumeAndReport(t *testing.T) {
 	if len(included) != 1 || included[0] != "alpha" {
 		t.Fatalf("included = %v, want only alpha", included)
 	}
-	if got := m.Poisoned([]string{"alpha", "beta"}); len(got) != 1 || got[0] != "beta" {
-		t.Fatalf("Poisoned = %v, want [beta]", got)
-	}
 	m.Close()
 
 	report, err := os.ReadFile(filepath.Join(dir, "report.txt"))
@@ -231,9 +230,6 @@ func TestMergePoisonThenHeal(t *testing.T) {
 	if len(included) != 1 {
 		t.Fatalf("included = %v, want healed alpha", included)
 	}
-	if got := m.Poisoned([]string{"alpha"}); len(got) != 0 {
-		t.Fatalf("Poisoned = %v, want none after heal", got)
-	}
 	report, err := os.ReadFile(filepath.Join(dir, "report.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -258,4 +254,69 @@ func TestMergeRejectsGarbageCSV(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "alpha.csv")); !os.IsNotExist(err) {
 		t.Fatal("rejected upload still landed on disk")
 	}
+}
+
+// noSync skips fsync, which would otherwise hold the fuzzer to a few
+// hundred execs per second.
+type noSync struct{ persist.File }
+
+func (noSync) Sync() error { return nil }
+
+// FuzzCommitResult feeds arbitrary uploads to CommitResult, the worker
+// path into a sweep directory. A refused upload must leave no CSV; an
+// accepted one must render a report.txt that a -resume of the directory
+// reproduces byte for byte, with the shard reusable.
+func FuzzCommitResult(f *testing.F) {
+	stub := stubTable("alpha")
+	var good bytes.Buffer
+	if err := stub.WriteCSV(&good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stub.Title, good.Bytes())
+	f.Add("bad \xc0 title", []byte("k,v\n1,2\n"))
+	f.Add("", []byte(`"unclosed`))
+	f.Add("two\nlines", []byte("a\n\"x\r\ny\"\n"))
+	f.Add("ragged", []byte("a,b\n1\n"))
+	persist.WrapFile = func(f persist.File) persist.File { return noSync{f} }
+	f.Cleanup(func() { persist.WrapFile = nil })
+	f.Fuzz(func(t *testing.T, title string, data []byte) {
+		dir := t.TempDir()
+		m, err := OpenMerge(context.Background(), dir, Config{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CommitResult("alpha", title, data, 1, "w1"); err != nil {
+			m.Close()
+			if _, statErr := os.Stat(filepath.Join(dir, "alpha.csv")); !os.IsNotExist(statErr) {
+				t.Fatalf("a refused upload (%v) landed on disk", err)
+			}
+			return
+		}
+		want := finishReport(t, m, dir)
+		m.Close()
+		m, err = OpenMerge(context.Background(), dir, Config{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if !m.Reusable("alpha") {
+			t.Fatal("an accepted upload does not verify on resume")
+		}
+		if got := finishReport(t, m, dir); !bytes.Equal(got, want) {
+			t.Fatalf("report.txt after resume differs:\n--- committed\n%s--- resumed\n%s", want, got)
+		}
+	})
+}
+
+// finishReport seals the one-shard report of m and returns its bytes.
+func finishReport(t *testing.T, m *Merge, dir string) []byte {
+	t.Helper()
+	if _, err := m.FinishReport([]string{"alpha"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

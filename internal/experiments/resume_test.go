@@ -358,23 +358,41 @@ func TestRunnerFailureLeavesNoPartialCSV(t *testing.T) {
 }
 
 // TestWriteCSVFaultNeverPublishes drives the atomic CSV commit through a
-// failing filesystem: the destination must stay absent and no temp file
-// may survive.
+// failing filesystem: the destination must stay absent, no temp file may
+// survive, and the manifest must gain no record of it.
 func TestWriteCSVFaultNeverPublishes(t *testing.T) {
 	dir := t.TempDir()
+	m, err := OpenMerge(context.Background(), dir, Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wrap only files opened from here on: the CSV's temp file, not the
+	// manifest journal.
 	persist.WrapFile = func(f persist.File) persist.File {
 		return &faultinject.File{F: f, FailOnSync: 1}
 	}
-	defer func() { persist.WrapFile = nil }()
-	_, err := writeCSV(dir, stubTable("doomed"))
+	tab := stubTable("doomed")
+	err = m.commit(tab, csvBytes(t, tab), 1, "", nil)
+	persist.WrapFile = nil
 	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("writeCSV with failing sync = %v", err)
+		t.Fatalf("commit with failing sync = %v", err)
 	}
 	if _, statErr := os.Stat(filepath.Join(dir, "doomed.csv")); statErr == nil {
 		t.Fatal("doomed.csv published despite the failed commit")
 	}
 	for _, name := range dirListing(t, dir) {
-		t.Errorf("unexpected file %s after failed commit", name)
+		if name != ManifestName && name != manifestLockName {
+			t.Errorf("unexpected file %s after failed commit", name)
+		}
+	}
+	m.Close()
+	m, err = OpenMerge(context.Background(), dir, Config{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, ok := m.prior["doomed"]; ok {
+		t.Error("the manifest recorded the failed commit")
 	}
 }
 

@@ -6,15 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"graphio/internal/core"
 	"graphio/internal/gen"
 	"graphio/internal/graph"
 	"graphio/internal/obs"
-	"graphio/internal/persist"
 )
 
 // Runner names one experiment and how to produce its table.
@@ -70,8 +67,9 @@ func Runners() []Runner {
 // individually; a timed-out experiment is reported as failed and the sweep
 // moves on.
 //
-// With a non-empty outDir every artifact is written crash-safely: CSVs
-// and report.txt commit atomically (temp file + fsync + rename), and a
+// With a non-empty outDir the sweep writes through a Merge, as the dist
+// coordinator does, and every artifact is written crash-safely: CSVs and
+// report.txt commit atomically (temp file + fsync + rename), and a
 // manifest journal in outDir records each experiment's status, config
 // hash, and artifact SHA-256 as it completes. outDir is guarded by a
 // single-writer lock; a second concurrent sweep into the same directory
@@ -97,24 +95,21 @@ func runRunners(ctx context.Context, cfg Config, outDir string, names []string, 
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("no experiment matches %v", names)
 	}
-	var man *sweepManifest
+	var merge *Merge
 	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return nil, err
-		}
 		var err error
-		if man, err = openManifest(ctx, outDir, cfg, cfg.Resume); err != nil {
+		if merge, err = OpenMerge(ctx, outDir, cfg, cfg.Resume); err != nil {
 			return nil, err
 		}
-		defer man.close()
+		defer merge.Close()
 	}
 	selNames := make([]string, len(selected))
 	for i, r := range selected {
 		selNames[i] = r.Name
 	}
 	var priorWalls map[string]time.Duration
-	if man != nil {
-		priorWalls = man.walls
+	if merge != nil {
+		priorWalls = merge.walls
 	}
 	eta := newETATracker(selNames, priorWalls)
 	obs.SetSweepStatus(eta.status)
@@ -140,21 +135,18 @@ func runRunners(ctx context.Context, cfg Config, outDir string, names []string, 
 	var tables []*Table
 	var failures []failure
 	for _, r := range selected {
-		if man != nil && cfg.Resume {
-			if t, rec, ok := man.reusable(outDir, r.Name); ok {
+		if merge != nil {
+			if t, ok := merge.reuse(r.Name); ok {
 				fmt.Fprintf(log, "== skipping %s (artifact verified against manifest)\n", r.Name)
 				obs.IncCtx(ctx, "experiments.resume.skipped")
 				eta.skip(r.Name)
-				if err := man.skipped(rec); err != nil {
-					return tables, err
-				}
 				tables = append(tables, t)
 				if cfg.AfterExperiment != nil {
 					cfg.AfterExperiment(r.Name)
 				}
 				continue
 			}
-			if _, seen := man.prior[r.Name]; seen {
+			if _, seen := merge.prior[r.Name]; seen {
 				fmt.Fprintf(log, "== re-running %s (prior run failed, config changed, or artifact does not verify)\n", r.Name)
 				obs.IncCtx(ctx, "experiments.resume.reran")
 			}
@@ -198,8 +190,8 @@ func runRunners(ctx context.Context, cfg Config, outDir string, names []string, 
 			failures = append(failures, failure{r.Name, err})
 			obs.IncCtx(ctx, "experiments.failures")
 			fmt.Fprintf(log, "== %s FAILED after %v: %v\n\n", r.Name, elapsed.Round(time.Millisecond), err)
-			if man != nil {
-				if mErr := man.failed(r.Name, elapsed, err, escope); mErr != nil {
+			if merge != nil {
+				if mErr := merge.fail(r.Name, elapsed.Milliseconds(), err, "", escope); mErr != nil {
 					return tables, mErr
 				}
 			}
@@ -216,32 +208,23 @@ func runRunners(ctx context.Context, cfg Config, outDir string, names []string, 
 		// Persist each table the moment it exists — atomically, so a crash
 		// later in the sweep can cost at most the in-flight experiment, and
 		// never leaves a torn CSV for -resume to mistake for a result.
-		if outDir != "" {
-			sha, err := writeCSV(outDir, t)
-			if err != nil {
+		// Rendering before the file exists is what keeps a failed or crashed
+		// runner from leaving a zero-byte or partial CSV behind.
+		if merge != nil {
+			var csvData bytes.Buffer
+			if err := t.WriteCSV(&csvData); err != nil {
 				return tables, err
 			}
-			if mErr := man.completed(t, sha, elapsed, escope); mErr != nil {
-				return tables, mErr
+			if err := merge.commit(t, csvData.Bytes(), elapsed.Milliseconds(), "", escope); err != nil {
+				return tables, err
 			}
 		}
 		if cfg.AfterExperiment != nil {
 			cfg.AfterExperiment(r.Name)
 		}
 	}
-	if outDir != "" && len(tables) > 0 {
-		var buf bytes.Buffer
-		//lint:ignore ctx-loop report.txt must still render after cancellation — completed experiments are preserved by design
-		for _, t := range tables {
-			if err := t.WriteText(&buf); err != nil {
-				return tables, err
-			}
-			fmt.Fprintln(&buf)
-		}
-		if err := persist.WriteFileAtomic(filepath.Join(outDir, "report.txt"), buf.Bytes(), 0o644); err != nil {
-			return tables, err
-		}
-		if err := man.report(sha256Bytes(buf.Bytes())); err != nil {
+	if merge != nil {
+		if _, err := merge.FinishReport(selNames); err != nil {
 			return tables, err
 		}
 	}
@@ -300,20 +283,4 @@ func heartbeat(w io.Writer, name string, start time.Time, eta *etaTracker) (stop
 		close(done)
 		<-finished
 	}
-}
-
-// writeCSV renders the completed table in memory, commits it atomically
-// as <name>.csv, and returns the committed bytes' SHA-256 for the
-// manifest. Rendering before the file exists is what guarantees a failed
-// or crashed runner can never leave a zero-byte or partial CSV behind.
-func writeCSV(outDir string, t *Table) (sha string, err error) {
-	var buf bytes.Buffer
-	if err := t.WriteCSV(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(outDir, t.Name+".csv")
-	if err := persist.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
-		return "", err
-	}
-	return sha256Bytes(buf.Bytes()), nil
 }

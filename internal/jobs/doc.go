@@ -27,7 +27,9 @@
 // record per append however many tasks are retained, and there is no
 // schedule to set. A compacted journal replays into the table the one it
 // replaced replays into, but for lease deadlines and backoffs, which
-// replay re-arms from the clock. Every state change updates a queued count, a terminal count, the set
+// replay re-arms from the clock; when Verify refuses results, the old
+// journal can also bring back tasks retention had forgotten.
+// Every state change updates a queued count, a terminal count, the set
 // of live tasks and the admission order, so no request scans the
 // retained tasks: only List, Evict and compaction visit them all.
 // The table emits no metrics; callers count and log transitions.

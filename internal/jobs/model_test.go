@@ -544,16 +544,21 @@ func runModel(t *testing.T, data []byte) {
 // compacted and reopened, holds the table tab has just replayed from
 // path: every task field but the lease deadline and the end of the
 // backoff, which replay re-arms from the clock, the admission order, the
-// result index and the ID and lease counters.
+// result index and the ID and lease counters. It then reopens both
+// journals with a Verify that refuses every result, as after every
+// artifact vanished, and compares them again.
 func checkCompactedCopy(t *testing.T, tab *Table[item], path string, opt Options[item], fatalf func(string, ...any)) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cp := filepath.Join(filepath.Dir(path), "copy.jsonl")
-	if err := persist.WriteFileAtomic(cp, raw, 0o644); err != nil {
-		fatalf("%v", err)
+	dir := filepath.Dir(path)
+	cp, orig := filepath.Join(dir, "copy.jsonl"), filepath.Join(dir, "orig.jsonl")
+	for _, p := range []string{cp, orig} {
+		if err := persist.WriteFileAtomic(p, raw, 0o644); err != nil {
+			fatalf("%v", err)
+		}
 	}
 	opt.Failed = nil // the copy's replay fails no attempt, so this would not be heard anyway
 	c := openTable(t, cp, opt)
@@ -567,19 +572,43 @@ func checkCompactedCopy(t *testing.T, tab *Table[item], path string, opt Options
 		fatalf("compacting the copy: %v", err)
 	}
 	c = openTable(t, cp, opt)
-	defer func() { _ = c.Close() }()
-	if got, want := replayed(c), replayed(tab); got != want {
+	got, want := replayed(c, nil), replayed(tab, nil)
+	if err := c.Close(); err != nil {
+		fatalf("%v", err)
+	}
+	if got != want {
 		fatalf("a compacted copy of the journal replays into\n%swant\n%s", got, want)
+	}
+
+	// Each done task comes back queued, keeping its attempts. The journal
+	// also holds the tasks retention forgot, and a done task that comes
+	// back queued no longer takes a retention slot, so some of them come
+	// back from it alone: only the tasks the compacted copy holds compare.
+	opt.Verify = func(string, string) bool { return false }
+	c = openTable(t, cp, opt)
+	defer func() { _ = c.Close() }()
+	u := openTable(t, orig, opt)
+	defer func() { _ = u.Close() }()
+	held := map[string]bool{}
+	for _, task := range c.order {
+		held[task.ID] = true
+	}
+	if got, want := replayed(c, held), replayed(u, held); got != want {
+		fatalf("with every result refused, a compacted copy of the journal replays into\n%swant\n%s", got, want)
 	}
 }
 
-// replayed renders what replay restores of tab.
-func replayed(tab *Table[item]) string {
+// replayed renders what replay restores of tab; a non-nil ids limits the
+// tasks to those it holds.
+func replayed(tab *Table[item], ids map[string]bool) string {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "  next ID %d, leases %d, results %v\n", tab.nextID, tab.leases, tab.results)
 	for _, task := range tab.order {
+		if ids != nil && !ids[task.ID] {
+			continue
+		}
 		x := *task
 		x.Expiry, x.NotBefore, x.seq = time.Time{}, time.Time{}, 0
 		fmt.Fprintf(&b, "  %+v\n", x)

@@ -57,7 +57,8 @@ type Task[P any] struct {
 type Options[P any] struct {
 	Key func(id string, data P) string // a task's result-index key; nil means its ID
 	// Verify, when non-nil, vets each result replay restores: false on a
-	// done record re-queues the task, false on a result record drops it.
+	// done record re-queues the task, keeping the attempts, owner and wall
+	// time its records carry; false on a result record drops it.
 	Verify func(key, result string) bool
 	// Failed, when non-nil, hears of each failed attempt, a Fail or a
 	// lapsed lease (ErrKind KindExpired), with the task moved to Queued or
@@ -188,7 +189,11 @@ func (t *Table[P]) replay(rec record) error {
 		t.insert(rec.ID, rec.Priority, data, rec.Cached)
 	case "done":
 		if task != nil && t.opt.Verify != nil && !t.opt.Verify(task.Key, rec.SHA) {
-			t.setState(task, Queued) // the result is gone or altered: run again
+			// The result is gone or altered: run again, keeping what the
+			// record says of the attempts that produced it.
+			t.setState(task, Queued)
+			task.WallMS, task.ErrKind, task.Err = rec.WallMS, "", ""
+			task.carry(rec)
 			return nil
 		}
 		fallthrough
@@ -281,8 +286,12 @@ func (t *Table[P]) apply(task *Task[P], rec record) {
 	case "shed":
 		t.setState(task, Shed)
 	}
-	// A snapshot record also carries what the task's earlier records set;
-	// on a live record this repeats what the case above set, if anything.
+	task.carry(rec)
+}
+
+// carry sets what a snapshot record carries of the task's earlier
+// records; on a live record this repeats what apply set, if anything.
+func (task *Task[P]) carry(rec record) {
 	task.Attempts = max(task.Attempts, rec.Attempt)
 	if rec.Owner != "" || rec.Lease != "" {
 		task.Owner, task.Lease = rec.Owner, rec.Lease
@@ -733,23 +742,32 @@ func (t *Table[P]) snapshot(task *Task[P]) ([]record, error) {
 
 // compactLocked atomically replaces the journal with live state: each
 // task's snapshot, the result index, and a meta record, which replay into
-// the table the old journal replays into. The result records follow the
-// tasks' done records so the index ends as it stands, and the meta record
-// comes last so the lease counter counts each open lease once. A failed
-// rewrite leaves the old journal, which is still correct. Caller holds
-// t.mu.
+// the table the old journal replays into. The snapshots' done records
+// restore the index entry of each done task's key, so a result record is
+// written only for an entry they would miss or leave at another result
+// (two done tasks sharing a key), and replay does not verify a done
+// task's result twice; the result records follow the snapshots, so the
+// index ends as it stands. The meta record comes last so the lease
+// counter counts each open lease once. A failed rewrite leaves the old
+// journal, which is still correct. Caller holds t.mu.
 func (t *Table[P]) compactLocked() error {
 	var recs []record
+	restored := map[string]string{}
 	for _, task := range t.order {
 		snap, err := t.snapshot(task)
 		if err != nil {
 			return err
 		}
 		recs = append(recs, snap...)
+		if task.State == Done && task.Key != "" {
+			restored[task.Key] = task.Result
+		}
 	}
 	keys := make([]string, 0, len(t.results))
-	for k := range t.results {
-		keys = append(keys, k)
+	for k, sha := range t.results {
+		if got, ok := restored[k]; !ok || got != sha {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

@@ -298,6 +298,60 @@ func TestEvictionSurvivesReopen(t *testing.T) {
 	}
 }
 
+// A reopen verifies each result once, compacted or not: the done records
+// restore the index, so compaction writes no result record beside them.
+// With the results gone, each done task comes back queued with the
+// attempts, owner and wall time its records carry, compacted or not.
+func TestReopenVerifiesEachResultOnce(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "dist.json")
+		opt := Options[item]{LeaseTTL: time.Minute}
+		tab := openTable(t, path, opt)
+		for _, name := range []string{"a", "b"} {
+			if _, err := tab.Accept(name, 0, item{Name: name}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := tab.Claim("w"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Complete(name, "sha-"+name, 5*time.Millisecond, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if compact {
+			tab.mu.Lock()
+			err := tab.compactLocked()
+			tab.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.Close(); err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		opt.Verify = func(string, string) bool { calls++; return true }
+		tab = openTable(t, path, opt)
+		if err := tab.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 2 {
+			t.Errorf("compacted %v: reopen made %d Verify calls for 2 done tasks, want 2", compact, calls)
+		}
+		opt.Verify = func(string, string) bool { return false }
+		tab = openTable(t, path, opt)
+		for _, task := range tab.List() {
+			if task.State != Queued || task.Attempts != 1 || task.Owner != "w" || task.WallMS != 5 {
+				t.Errorf("compacted %v: %s with its result gone reopens %s, attempts %d, owner %q, wall %d ms; want queued, 1, \"w\", 5",
+					compact, task.ID, task.State, task.Attempts, task.Owner, task.WallMS)
+			}
+		}
+		if err := tab.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTableConcurrentLeases races claims, renewals, expiry sweeps,
 // completions and failures on one leased table. Every task must end in
 // exactly one terminal state that replay reproduces, no task may run

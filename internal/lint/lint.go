@@ -27,8 +27,8 @@ type Rule interface {
 type Reporter func(pos token.Pos, format string, args ...any)
 
 // Severity tiers. Error findings fail the lint gate; warn findings are
-// advisory, letting new rules land warn-first and graduate once the
-// baseline drains.
+// advisory, letting new rules land warn-first and graduate once their
+// existing findings are fixed.
 const (
 	SeverityError = "error"
 	SeverityWarn  = "warn"

@@ -60,63 +60,6 @@ func TestCatalogInfoAppendsMetaRules(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip: capture -> write -> load -> filter suppresses
-// exactly the captured findings and keeps the excess.
-func TestBaselineRoundTrip(t *testing.T) {
-	ds := sampleDiagnostics()
-	b := NewBaseline("/mod", ds)
-	if len(b.Entries) != 2 {
-		t.Fatalf("baseline entries = %d, want 2: %v", len(b.Entries), b.Entries)
-	}
-	for _, e := range b.Entries {
-		if filepath.IsAbs(e.File) {
-			t.Errorf("baseline entry file %q is not module-relative", e.File)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	//lint:ignore persist-writes round-trip scratch file in t.TempDir; durability machinery would only add fsync noise
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	kept, suppressed := loaded.Filter("/mod", ds)
-	if suppressed != 2 || len(kept) != 0 {
-		t.Errorf("filter over captured set: kept %v, suppressed %d; want all suppressed", kept, suppressed)
-	}
-
-	// A second occurrence of a baselined message exceeds its count budget.
-	extra := append(append([]Diagnostic{}, ds...), ds[0])
-	kept, suppressed = loaded.Filter("/mod", extra)
-	if suppressed != 2 || len(kept) != 1 || kept[0].Rule != "ctx-flow" {
-		t.Errorf("filter over excess: kept %v, suppressed %d; want the third finding kept", kept, suppressed)
-	}
-
-	// A new message is untouched by the baseline.
-	fresh := Diagnostic{Rule: "ctx-flow", File: "/mod/internal/a/a.go", Line: 11, Col: 1, Message: "different message"}
-	kept, _ = loaded.Filter("/mod", []Diagnostic{fresh})
-	if len(kept) != 1 {
-		t.Errorf("fresh finding was suppressed: %v", kept)
-	}
-}
-
-func TestLoadBaselineMissing(t *testing.T) {
-	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Error("LoadBaseline on a missing file succeeded; -baseline is deliberate, so this must fail")
-	}
-}
-
 // TestSeverityTiers: warn findings do not count toward the gate and render
 // with the warning prefix.
 func TestSeverityTiers(t *testing.T) {

@@ -7,6 +7,8 @@ package lint
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
+	"strings"
 )
 
 const (
@@ -123,4 +125,17 @@ func WriteSARIF(w io.Writer, root string, catalog []RuleInfo, ds []Diagnostic) e
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
+}
+
+// relPath maps an absolute diagnostic path to the module-relative,
+// slash-separated form SARIF viewers resolve against the checkout; paths
+// outside root pass through unchanged.
+func relPath(root, file string) string {
+	if root == "" {
+		return filepath.ToSlash(file)
+	}
+	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return filepath.ToSlash(file)
 }

@@ -9,6 +9,7 @@ package graphio_test
 // (`make bench-check`): same-host pairs on fixed workloads.
 
 import (
+	"context"
 	"testing"
 
 	"graphio/internal/analytic"
@@ -29,7 +30,7 @@ func benchSpectral(b *testing.B, g *graph.Graph, M int, solver core.Solver) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SpectralBound(g, core.Options{M: M, Solver: solver}); err != nil {
+		if _, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: M, Solver: solver}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +40,7 @@ func benchMinCut(b *testing.B, g *graph.Graph, M int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mincut.ConvexMinCutBound(g, mincut.Options{M: M}); err != nil {
+		if _, err := mincut.ConvexMinCutBoundContext(context.Background(), g, mincut.Options{M: M}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func BenchmarkTableERSpectral(b *testing.B) {
 	g := gen.ErdosRenyiDAG(512, 12*6.24/511, 1) // p0·log(512)/(n−1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SpectralBound(g, core.Options{M: 4, Laplacian: laplacian.Original}); err != nil {
+		if _, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: 4, Laplacian: laplacian.Original}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func BenchmarkSandwichSimulationFFT6(b *testing.B) {
 	g := gen.FFT(6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := pebble.BestOrder(g, 8, pebble.Belady, 5, 1); err != nil {
+		if _, _, _, err := pebble.BestOrderContext(context.Background(), g, 8, pebble.Belady, 5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +157,7 @@ func BenchmarkEigDensePath256(b *testing.B) {
 	L := laplacian.BuildDense(g, laplacian.Original)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := linalg.SymEigValues(L.Clone()); err != nil {
+		if _, err := linalg.SymEigValuesContext(context.Background(), L.Clone()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -171,7 +172,7 @@ func BenchmarkLanczosFFT8h50(b *testing.B) {
 	c := L.GershgorinUpper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := linalg.SmallestEigsPSD(L, c, 50, nil); err != nil {
+		if _, err := linalg.SmallestEigsPSDContext(context.Background(), L, c, 50, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +200,7 @@ func BenchmarkExactRedBlueInner4(b *testing.B) {
 	g := gen.InnerProduct(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := redblue.Optimal(g, 3, redblue.Options{}); err != nil {
+		if _, err := redblue.OptimalContext(context.Background(), g, 3, redblue.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +240,7 @@ func BenchmarkHongKungInner3(b *testing.B) {
 	g := gen.InnerProduct(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hongkung.Bound(g, 2, hongkung.Options{}); err != nil {
+		if _, err := hongkung.Bound(context.Background(), g, 2, hongkung.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +250,7 @@ func BenchmarkConvexCutSingleVertexBHK8(b *testing.B) {
 	g := gen.BellmanHeldKarp(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mincut.ConvexCut(g, 127); err != nil {
+		if _, err := mincut.ConvexCutContext(context.Background(), g, 127); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,9 +6,8 @@
 //	graphiolint [-format text|json|sarif] [-o file] [-rules a,b] [-list] [patterns...]
 //
 // Patterns default to ./... and follow the go tool's shape ("./...",
-// "./internal/core", "internal/..."). Exit status: 0 clean (warn-tier
-// findings are printed but do not fail), 1 error-tier findings, 2 usage
-// or load error. Findings are suppressed in place with
+// "./internal/core", "internal/..."). Exit status: 0 clean, 1 findings,
+// 2 usage or load error. Findings are suppressed in place with
 //
 //	//lint:ignore <rule> <reason>
 //
@@ -122,12 +121,9 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "graphiolint: %v\n", err)
 		return 2
 	}
-	if errs := lint.CountErrors(diags); errs > 0 {
-		fmt.Fprintf(os.Stderr, "graphiolint: %d finding(s), %d at the error tier\n", len(diags), errs)
-		return 1
-	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "graphiolint: %d warning(s), gate passes\n", len(diags))
+		fmt.Fprintf(os.Stderr, "graphiolint: %d finding(s)\n", len(diags))
+		return 1
 	}
 	return 0
 }

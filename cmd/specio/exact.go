@@ -98,7 +98,7 @@ func cmdExpansion(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	l2, err := expansion.Lambda2(g)
+	l2, err := expansion.Lambda2(ofl.Context(), g)
 	if err != nil {
 		return err
 	}

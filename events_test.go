@@ -7,6 +7,7 @@ package graphio_test
 // persist journal.
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"testing"
@@ -33,20 +34,20 @@ func TestAllBoundEnginesEmitEvents(t *testing.T) {
 	// Spectral engine, forced onto the iterative solvers (SolverAuto would
 	// take the dense path at this size and skip the instrumented loops).
 	for _, s := range []core.Solver{core.SolverLanczos, core.SolverChebyshev} {
-		if _, err := core.SpectralBound(g, core.Options{M: 4, Solver: s, DenseCutoff: 1}); err != nil {
+		if _, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: 4, Solver: s, DenseCutoff: 1}); err != nil {
 			t.Fatalf("spectral bound (solver %v): %v", s, err)
 		}
 	}
 	// Bisection refinements (the spectral cross-check path).
-	if _, err := linalg.TridiagEigBisect([]float64{2, 3, 4, 5}, []float64{1, 1, 1}, 0, 2); err != nil {
+	if _, err := linalg.TridiagEigBisectContext(context.Background(), []float64{2, 3, 4, 5}, []float64{1, 1, 1}, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Min-cut engine: Dinic phases + per-flow sweep events.
-	if _, err := mincut.ConvexMinCutBound(g, mincut.Options{M: 4}); err != nil {
+	if _, err := mincut.ConvexMinCutBoundContext(context.Background(), g, mincut.Options{M: 4}); err != nil {
 		t.Fatal(err)
 	}
 	// Pebble engine: order-search candidates + sampled simulation steps.
-	if _, _, _, err := pebble.BestOrder(g, 4, pebble.Belady, 2, 1); err != nil {
+	if _, _, _, err := pebble.BestOrderContext(context.Background(), g, 4, pebble.Belady, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 

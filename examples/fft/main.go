@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -29,12 +30,14 @@ func main() {
 	maxL := flag.Int("max-l", 11, "largest FFT level")
 	flag.Parse()
 
+	ctx := context.Background()
+
 	fmt.Printf("2^l-point FFT, M=%d\n", *M)
 	fmt.Printf("%3s %8s %12s %12s %12s %12s %10s\n",
 		"l", "n", "spectral_T4", "closedform", "closed_T5", "hong-kung", "cf/hk")
 	for l := 3; l <= *maxL; l++ {
 		g := gen.FFT(l)
-		res, err := core.SpectralBound(g, core.Options{M: *M})
+		res, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M})
 		exutil.Check(err, fmt.Sprintf("spectral bound for FFT l=%d", l))
 		// Theorem 5 fed the exact closed-form spectrum: no eigensolver.
 		spec := analytic.ButterflySpectrum(l)
@@ -59,9 +62,9 @@ func main() {
 	// butterfly has uniform out-degree 2 away from the sinks, so the two
 	// bounds nearly coincide.
 	g := gen.FFT(8)
-	t4, err := core.SpectralBound(g, core.Options{M: *M})
+	t4, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M})
 	exutil.Check(err, "Theorem 4 bound for the l=8 ablation")
-	t5, err := core.SpectralBound(g, core.Options{M: *M, Laplacian: laplacian.Original})
+	t5, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M, Laplacian: laplacian.Original})
 	exutil.Check(err, "Theorem 5 bound for the l=8 ablation")
 	fmt.Printf("l=8 ablation: Theorem 4 = %.2f, Theorem 5 = %.2f\n", t4.Bound, t5.Bound)
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -41,6 +42,8 @@ func main() {
 	sweeps := flag.Int("sweeps", 3, "relaxation sweeps to trace")
 	flag.Parse()
 
+	ctx := context.Background()
+
 	tr := trace.New()
 	u := tr.Inputs("u", *size)
 	v := u
@@ -60,9 +63,9 @@ func main() {
 		g.N(), g.M(), g.MaxInDeg())
 
 	// Lower bounds: spectral and the convex min-cut baseline.
-	spec, err := core.SpectralBound(g, core.Options{M: *M})
+	spec, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M})
 	exutil.Check(err, "spectral bound for the traced stencil")
-	mc, err := mincut.ConvexMinCutBound(g, mincut.Options{M: *M})
+	mc, err := mincut.ConvexMinCutBoundContext(ctx, g, mincut.Options{M: *M})
 	exutil.Check(err, "convex min-cut baseline for the traced stencil")
 	fmt.Printf("lower bounds at M=%d: spectral %.2f, convex min-cut %.2f\n",
 		*M, spec.Bound, mc.Bound)
@@ -80,7 +83,7 @@ func main() {
 		exutil.Check(err, fmt.Sprintf("simulating the %s order under Belady", name))
 		fmt.Printf("order %-5s: LRU %5d I/Os, Belady %5d I/Os\n", name, lru.Total(), bel.Total())
 	}
-	best, _, name, err := pebble.BestOrder(g, *M, pebble.Belady, 40, 1)
+	best, _, name, err := pebble.BestOrderContext(ctx, g, *M, pebble.Belady, 40, 1)
 	exutil.Check(err, "searching evaluation orders for the traced stencil")
 	fmt.Printf("best schedule found: %d I/Os (%s)\n", best.Total(), name)
 	fmt.Printf("J* sandwiched: %.2f ≤ J* ≤ %d\n", spec.Bound, best.Total())

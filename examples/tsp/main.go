@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -24,6 +25,8 @@ func main() {
 	M := flag.Int("M", 16, "per-processor fast memory size")
 	flag.Parse()
 
+	ctx := context.Background()
+
 	l := *cities
 	g := gen.BellmanHeldKarp(l)
 	fmt.Printf("Bellman-Held-Karp for %d cities: hypercube with %d vertices, %d edges\n",
@@ -33,9 +36,9 @@ func main() {
 	}
 
 	// Serial bound, both Laplacians.
-	t4, err := core.SpectralBound(g, core.Options{M: *M})
+	t4, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M})
 	exutil.Check(err, "Theorem 4 bound for the BHK hypercube")
-	t5, err := core.SpectralBound(g, core.Options{M: *M, Laplacian: laplacian.Original})
+	t5, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M, Laplacian: laplacian.Original})
 	exutil.Check(err, "Theorem 5 bound for the BHK hypercube")
 	simple := analytic.HypercubeBoundSimple(l, *M)
 	closed, bestK := analytic.HypercubeBoundOptimal(l, *M)
@@ -48,14 +51,14 @@ func main() {
 	// Parallel bounds (Theorem 6): some processor incurs at least this.
 	fmt.Printf("parallel bounds at M=%d (busiest of p processors):\n", *M)
 	for _, p := range []int{2, 4, 8} {
-		par, err := core.SpectralBound(g, core.Options{M: *M, Processors: p})
+		par, err := core.SpectralBoundContext(ctx, g, core.Options{M: *M, Processors: p})
 		exutil.Check(err, fmt.Sprintf("Theorem 6 bound at p=%d", p))
 		fmt.Printf("  p=%d: %10.2f\n", p, par.Bound)
 	}
 
 	// For small instances, sandwich J* with a simulated schedule.
 	if l <= 10 {
-		best, _, name, err := pebble.BestOrder(g, *M, pebble.Belady, 30, 1)
+		best, _, name, err := pebble.BestOrderContext(ctx, g, *M, pebble.Belady, 30, 1)
 		exutil.Check(err, "searching evaluation orders for the sandwich")
 		fmt.Printf("simulated upper bound: %d I/Os (order=%s)\n", best.Total(), name)
 		fmt.Printf("J* sandwiched: %.2f ≤ J* ≤ %d\n", t4.Bound, best.Total())

@@ -1,6 +1,7 @@
 package graphio_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,10 +20,10 @@ import (
 // order search otherwise. Any lower bound exceeding this is a bug.
 func upperBound(t *testing.T, g *graph.Graph, M int) int {
 	t.Helper()
-	if res, _, err := pebble.ExhaustiveBest(g, M, pebble.Belady, 20000); err == nil {
+	if res, _, err := pebble.ExhaustiveBestContext(context.Background(), g, M, pebble.Belady, 20000); err == nil {
 		return res.Total()
 	}
-	res, _, _, err := pebble.BestOrder(g, M, pebble.Belady, 30, 1)
+	res, _, _, err := pebble.BestOrderContext(context.Background(), g, M, pebble.Belady, 30, 1)
 	if err != nil {
 		t.Fatalf("no feasible order for %s at M=%d: %v", g.Name(), M, err)
 	}
@@ -37,7 +38,7 @@ func checkSandwich(t *testing.T, g *graph.Graph, M int) {
 	}
 	ub := upperBound(t, g, M)
 	for _, kind := range []laplacian.Kind{laplacian.OutDegreeNormalized, laplacian.Original} {
-		res, err := core.SpectralBound(g, core.Options{M: M, Laplacian: kind})
+		res, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: M, Laplacian: kind})
 		if err != nil {
 			t.Fatalf("%s M=%d: %v", g.Name(), M, err)
 		}
@@ -46,7 +47,7 @@ func checkSandwich(t *testing.T, g *graph.Graph, M int) {
 				g.Name(), M, kind, res.Bound, ub)
 		}
 	}
-	mc, err := mincut.ConvexMinCutBound(g, mincut.Options{M: M})
+	mc, err := mincut.ConvexMinCutBoundContext(context.Background(), g, mincut.Options{M: M})
 	if err != nil {
 		t.Fatalf("%s M=%d: %v", g.Name(), M, err)
 	}
@@ -134,12 +135,12 @@ func TestExactSandwich(t *testing.T) {
 			if g.MaxInDeg() > M {
 				continue
 			}
-			exact, err := redblue.Optimal(g, M, redblue.Options{})
+			exact, err := redblue.OptimalContext(context.Background(), g, M, redblue.Options{})
 			if err != nil {
 				t.Fatalf("%s M=%d: %v", g.Name(), M, err)
 			}
 			for _, kind := range []laplacian.Kind{laplacian.OutDegreeNormalized, laplacian.Original} {
-				res, err := core.SpectralBound(g, core.Options{M: M, Laplacian: kind})
+				res, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: M, Laplacian: kind})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,14 +148,14 @@ func TestExactSandwich(t *testing.T) {
 					t.Errorf("%s M=%d: spectral %.2f exceeds exact J* %d", g.Name(), M, res.Bound, exact.IO)
 				}
 			}
-			mc, err := mincut.ConvexMinCutBound(g, mincut.Options{M: M})
+			mc, err := mincut.ConvexMinCutBoundContext(context.Background(), g, mincut.Options{M: M})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mc.Bound > float64(exact.IO)+1e-6 {
 				t.Errorf("%s M=%d: min-cut %.2f exceeds exact J* %d", g.Name(), M, mc.Bound, exact.IO)
 			}
-			if sim, _, err := pebble.ExhaustiveBest(g, M, pebble.Belady, 20000); err == nil {
+			if sim, _, err := pebble.ExhaustiveBestContext(context.Background(), g, M, pebble.Belady, 20000); err == nil {
 				if exact.IO > sim.Total() {
 					t.Errorf("%s M=%d: exact J* %d above simulated %d", g.Name(), M, exact.IO, sim.Total())
 				}
@@ -169,7 +170,7 @@ func TestParallelBoundBelowSerialUpperBound(t *testing.T) {
 	g := gen.FFT(4)
 	ub := upperBound(t, g, 4)
 	for _, p := range []int{2, 4} {
-		res, err := core.SpectralBound(g, core.Options{M: 4, Processors: p})
+		res, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: 4, Processors: p})
 		if err != nil {
 			t.Fatal(err)
 		}

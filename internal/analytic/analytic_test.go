@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestHypercubeSpectrumMatchesDenseSolver(t *testing.T) {
 			t.Fatalf("l=%d: spectrum has %d entries", l, len(want))
 		}
 		g := gen.BellmanHeldKarp(l)
-		got, err := linalg.SymEigValues(laplacian.BuildDense(g, laplacian.Original))
+		got, err := linalg.SymEigValuesContext(context.Background(), laplacian.BuildDense(g, laplacian.Original))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestButterflySpectrumMatchesDenseSolver(t *testing.T) {
 			t.Fatalf("l=%d: closed-form multiplicities sum to %d, want %d", l, len(want), n)
 		}
 		g := gen.FFT(l)
-		got, err := linalg.SymEigValues(laplacian.BuildDense(g, laplacian.Original))
+		got, err := linalg.SymEigValuesContext(context.Background(), laplacian.BuildDense(g, laplacian.Original))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestFFTClosedFormAgainstComputedBound(t *testing.T) {
 	for _, l := range []int{4, 5, 6} {
 		for _, M := range []int{2, 4} {
 			g := gen.FFT(l)
-			res, err := core.SpectralBound(g, core.Options{
+			res, err := core.SpectralBoundContext(context.Background(), g, core.Options{
 				M: M, MaxK: g.N(), Laplacian: laplacian.Original, Solver: core.SolverDense,
 			})
 			if err != nil {
@@ -190,7 +191,7 @@ func TestGridSpectrumMatchesDenseSolver(t *testing.T) {
 		r, c := dims[0], dims[1]
 		want := GridSpectrum(r, c)
 		g := gen.Grid2D(r, c)
-		got, err := linalg.SymEigValues(laplacian.BuildDense(g, laplacian.Original))
+		got, err := linalg.SymEigValuesContext(context.Background(), laplacian.BuildDense(g, laplacian.Original))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestGridSpectrumMatchesDenseSolver(t *testing.T) {
 func TestGridBoundMatchesComputed(t *testing.T) {
 	r, c, M := 12, 12, 2
 	g := gen.Grid2D(r, c)
-	res, err := core.SpectralBound(g, core.Options{
+	res, err := core.SpectralBoundContext(context.Background(), g, core.Options{
 		M: M, MaxK: 40, Laplacian: laplacian.Original, Solver: core.SolverDense,
 	})
 	if err != nil {

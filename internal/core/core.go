@@ -99,9 +99,9 @@ func (e *NonFiniteError) Error() string {
 	return fmt.Sprintf("core: non-finite value detected at %s", e.Where)
 }
 
-// Options configures SolveSpectrum and SpectralBound.
+// Options configures SolveSpectrum and SpectralBoundContext.
 type Options struct {
-	// M is the fast-memory size in elements. SpectralBound requires
+	// M is the fast-memory size in elements. SpectralBoundContext requires
 	// M ≥ 1; SolveSpectrum ignores it.
 	M int
 	// MaxK is h, the number of smallest eigenvalues computed and the upper
@@ -321,15 +321,10 @@ func (s *Spectrum) At(ctx context.Context, M, p int) *Result {
 	return &Result{Spectrum: *s, Bound: bound, BestK: bestK, Raw: rawMax(perK), PerK: perK, M: M, Processors: p}
 }
 
-// SpectralBound computes the paper's spectral I/O lower bound for g.
-func SpectralBound(g *graph.Graph, opt Options) (*Result, error) {
-	return SpectralBoundContext(context.Background(), g, opt)
-}
-
-// SpectralBoundContext is SolveSpectrum followed by At(opt.M,
-// opt.Processors): the bound at one memory size, with cancellation and
-// graceful degradation. Callers that want several M or p solve once and
-// call At for each.
+// SpectralBoundContext computes the paper's spectral I/O lower bound for
+// g: SolveSpectrum followed by At(opt.M, opt.Processors), the bound at one
+// memory size, with cancellation and graceful degradation. Callers that
+// want several M or p solve once and call At for each.
 func SpectralBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if opt.M < 1 {
 		return nil, errors.New("core: Options.M must be ≥ 1")

@@ -103,23 +103,23 @@ func TestBoundFromEigenvaluesDivisorAndProcessors(t *testing.T) {
 
 func TestSpectralBoundValidation(t *testing.T) {
 	g := hypercubeDAG(3)
-	if _, err := SpectralBound(g, Options{M: 0}); err == nil {
+	if _, err := SpectralBoundContext(context.Background(), g, Options{M: 0}); err == nil {
 		t.Error("M=0 accepted")
 	}
-	if _, err := SpectralBound(g, Options{M: 2, MaxK: -1}); err == nil {
+	if _, err := SpectralBoundContext(context.Background(), g, Options{M: 2, MaxK: -1}); err == nil {
 		t.Error("MaxK=-1 accepted")
 	}
-	if _, err := SpectralBound(g, Options{M: 2, Processors: -1}); err == nil {
+	if _, err := SpectralBoundContext(context.Background(), g, Options{M: 2, Processors: -1}); err == nil {
 		t.Error("Processors=-1 accepted")
 	}
-	if _, err := SpectralBound(g, Options{M: 2, Solver: Solver(42)}); err == nil {
+	if _, err := SpectralBoundContext(context.Background(), g, Options{M: 2, Solver: Solver(42)}); err == nil {
 		t.Error("unknown solver accepted")
 	}
 }
 
 func TestSpectralBoundEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, 0).MustBuild()
-	res, err := SpectralBound(g, Options{M: 4})
+	res, err := SpectralBoundContext(context.Background(), g, Options{M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSpectralBoundHypercubeMatchesClosedFormSpectrum(t *testing.T) {
 	for _, l := range []int{3, 4, 5} {
 		g := hypercubeDAG(l)
 		M := 2
-		res, err := SpectralBound(g, Options{M: M, Laplacian: laplacian.Original, Solver: SolverDense})
+		res, err := SpectralBoundContext(context.Background(), g, Options{M: M, Laplacian: laplacian.Original, Solver: SolverDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestSpectralBoundHypercubeMatchesClosedFormSpectrum(t *testing.T) {
 	// M ≤ 2^l/(l+1)^2, so positivity appears from l=6 at M=1 (k=l+1 gives
 	// ⌊64/7⌋·12/6 − 14 = 4 > 0). Check the solver certifies it.
 	for _, l := range []int{6, 7} {
-		res, err := SpectralBound(hypercubeDAG(l), Options{M: 1, Laplacian: laplacian.Original, Solver: SolverDense})
+		res, err := SpectralBoundContext(context.Background(), hypercubeDAG(l), Options{M: 1, Laplacian: laplacian.Original, Solver: SolverDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestSpectralBoundSolversAgree(t *testing.T) {
 	M := 4
 	var bounds []float64
 	for _, s := range []Solver{SolverDense, SolverLanczos, SolverChebyshev} {
-		res, err := SpectralBound(g, Options{M: M, MaxK: 20, Solver: s})
+		res, err := SpectralBoundContext(context.Background(), g, Options{M: M, MaxK: 20, Solver: s})
 		if err != nil {
 			t.Fatalf("solver %v: %v", s, err)
 		}
@@ -185,14 +185,14 @@ func TestSpectralBoundSolversAgree(t *testing.T) {
 
 func TestSpectralBoundAutoSelectsSolver(t *testing.T) {
 	g := hypercubeDAG(4)
-	res, err := SpectralBound(g, Options{M: 2, DenseCutoff: 8})
+	res, err := SpectralBoundContext(context.Background(), g, Options{M: 2, DenseCutoff: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SolverUsed != SolverChebyshev {
 		t.Errorf("n=16 > cutoff 8 should use Chebyshev, got %v", res.SolverUsed)
 	}
-	res, err = SpectralBound(g, Options{M: 2, DenseCutoff: 64})
+	res, err = SpectralBoundContext(context.Background(), g, Options{M: 2, DenseCutoff: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSpectralBoundMonotoneInM(t *testing.T) {
 	g := hypercubeDAG(6)
 	prev := math.Inf(1)
 	for _, M := range []int{1, 2, 4, 8, 16, 32} {
-		res, err := SpectralBound(g, Options{M: M})
+		res, err := SpectralBoundContext(context.Background(), g, Options{M: M})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,12 +218,12 @@ func TestSpectralBoundMonotoneInM(t *testing.T) {
 
 func TestSpectralBoundParallelWeaker(t *testing.T) {
 	g := hypercubeDAG(7)
-	serial, err := SpectralBound(g, Options{M: 4})
+	serial, err := SpectralBoundContext(context.Background(), g, Options{M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 8} {
-		par, err := SpectralBound(g, Options{M: 4, Processors: p})
+		par, err := SpectralBoundContext(context.Background(), g, Options{M: 4, Processors: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,11 +241,11 @@ func TestNormalizedAtLeastAsTightOnRegularOutDegree(t *testing.T) {
 	// least as tight. This is the §4.3 motivation for keeping per-vertex
 	// degrees.
 	g := hypercubeDAG(6)
-	t4, err := SpectralBound(g, Options{M: 4, Laplacian: laplacian.OutDegreeNormalized})
+	t4, err := SpectralBoundContext(context.Background(), g, Options{M: 4, Laplacian: laplacian.OutDegreeNormalized})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t5, err := SpectralBound(g, Options{M: 4, Laplacian: laplacian.Original})
+	t5, err := SpectralBoundContext(context.Background(), g, Options{M: 4, Laplacian: laplacian.Original})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestNormalizedAtLeastAsTightOnRegularOutDegree(t *testing.T) {
 
 func TestResultDiagnostics(t *testing.T) {
 	g := hypercubeDAG(5)
-	res, err := SpectralBound(g, Options{M: 2, MaxK: 10})
+	res, err := SpectralBoundContext(context.Background(), g, Options{M: 2, MaxK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSpectralBoundRandomDAGsNonNegative(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g := randomDAG(rng, 2+rng.Intn(50), 0.25)
 		for _, kind := range []laplacian.Kind{laplacian.Original, laplacian.OutDegreeNormalized} {
-			res, err := SpectralBound(g, Options{M: 1 + rng.Intn(8), Laplacian: kind})
+			res, err := SpectralBoundContext(context.Background(), g, Options{M: 1 + rng.Intn(8), Laplacian: kind})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +372,7 @@ func TestSolveSpectrumAtMatchesSpectralBound(t *testing.T) {
 					}
 					if got := s.At(ctx, M, p); !reflect.DeepEqual(got, want) ||
 						math.Float64bits(got.Bound) != math.Float64bits(want.Bound) {
-						t.Errorf("%s %v M=%d p=%d: At = %+v, SpectralBound = %+v", tc.name, kind, M, p, got, want)
+						t.Errorf("%s %v M=%d p=%d: At = %+v, SpectralBoundContext = %+v", tc.name, kind, M, p, got, want)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"graphio/internal/core"
@@ -8,11 +9,11 @@ import (
 	"graphio/internal/laplacian"
 )
 
-// ExampleSpectralBound bounds the I/O of a 10-city Bellman-Held-Karp
+// ExampleSpectralBoundContext bounds the I/O of a 10-city Bellman-Held-Karp
 // dynamic program on a machine with 16 fast-memory slots.
-func ExampleSpectralBound() {
+func ExampleSpectralBoundContext() {
 	g := gen.BellmanHeldKarp(10)
-	res, err := core.SpectralBound(g, core.Options{M: 16})
+	res, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: 16})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,7 +79,7 @@ func TestSpectralRelaxationChain(t *testing.T) {
 		n := g.N()
 		M := 1 + rng.Intn(4)
 		for _, kind := range []laplacian.Kind{laplacian.OutDegreeNormalized, laplacian.Original} {
-			res, err := SpectralBound(g, Options{M: M, MaxK: n, Laplacian: kind, Solver: SolverDense})
+			res, err := SpectralBoundContext(context.Background(), g, Options{M: M, MaxK: n, Laplacian: kind, Solver: SolverDense})
 			if err != nil {
 				t.Fatal(err)
 			}

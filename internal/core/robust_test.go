@@ -67,7 +67,7 @@ func TestFallbackChainSurvivesForcedLanczosNonConvergence(t *testing.T) {
 	// The degraded run must still produce the *correct* bound: the dense
 	// fallback sees the clean Laplacian, so it must agree with an unfaulted
 	// dense solve exactly.
-	clean, err := SpectralBound(g, Options{M: 4, MaxK: 8, Solver: SolverDense})
+	clean, err := SpectralBoundContext(context.Background(), g, Options{M: 4, MaxK: 8, Solver: SolverDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTheorem5RouteWhenDenseFallbackDisabled(t *testing.T) {
 
 	// The Theorem 5 route must agree with directly requesting the original
 	// Laplacian on a clean operator.
-	clean, err := SpectralBound(g, Options{M: 4, MaxK: 8, Solver: SolverDense, Laplacian: laplacian.Original})
+	clean, err := SpectralBoundContext(context.Background(), g, Options{M: 4, MaxK: 8, Solver: SolverDense, Laplacian: laplacian.Original})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPerturbedSeedRetryRecoversTransientFault(t *testing.T) {
 		}
 		return op
 	}
-	res, err := SpectralBound(g, opt)
+	res, err := SpectralBoundContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatalf("bound after transient fault: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestNoFallbackFailsFast(t *testing.T) {
 		wraps++
 		return &faultinject.Op{A: op, NoiseFrom: 1, NoiseAmp: 5}
 	}
-	_, err := SpectralBound(g, opt)
+	_, err := SpectralBoundContext(context.Background(), g, opt)
 	if err == nil {
 		t.Fatal("NoFallback solve under noise succeeded")
 	}

@@ -1,6 +1,7 @@
 package expansion_test
 
 import (
+	"context"
 	"fmt"
 
 	"graphio/internal/expansion"
@@ -11,7 +12,7 @@ import (
 // from λ2 = 2, an exact enumeration, and a concrete sweep cut.
 func Example() {
 	g := gen.BellmanHeldKarp(4)
-	l2, err := expansion.Lambda2(g)
+	l2, err := expansion.Lambda2(context.Background(), g)
 	if err != nil {
 		panic(err)
 	}

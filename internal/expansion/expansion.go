@@ -14,6 +14,7 @@
 package expansion
 
 import (
+	"context"
 	"errors"
 	"math"
 
@@ -76,13 +77,15 @@ func CheegerInterval(lambda2 float64, dmax int) (lo, hi float64) {
 }
 
 // Lambda2 computes the algebraic connectivity of g's undirected support.
-func Lambda2(g *graph.Graph) (float64, error) {
+// ctx carries the solver's telemetry scope and cancels the Chebyshev solve
+// that graphs past 512 vertices take.
+func Lambda2(ctx context.Context, g *graph.Graph) (float64, error) {
 	L, err := laplacian.BuildCSR(g, laplacian.Original)
 	if err != nil {
 		return 0, err
 	}
 	if g.N() <= 512 {
-		vals, err := linalg.SymEigValues(L.ToDense())
+		vals, err := linalg.SymEigValuesContext(ctx, L.ToDense())
 		if err != nil {
 			return 0, err
 		}
@@ -91,7 +94,7 @@ func Lambda2(g *graph.Graph) (float64, error) {
 		}
 		return vals[1], nil
 	}
-	vals, err := linalg.ChebFilteredSmallest(L, L.GershgorinUpper(), 2, nil)
+	vals, err := linalg.ChebFilteredSmallestContext(ctx, L, L.GershgorinUpper(), 2, nil)
 	if err != nil {
 		return 0, err
 	}

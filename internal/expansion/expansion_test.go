@@ -1,6 +1,8 @@
 package expansion
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,7 +64,7 @@ func TestCheegerSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l2, err := Lambda2(g)
+		l2, err := Lambda2(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +100,7 @@ func TestSweepCutOnChainFindsMiddle(t *testing.T) {
 
 func TestLambda2LargeGraphUsesIterativeSolver(t *testing.T) {
 	g := gen.FFT(7) // 1024 vertices: above the dense path
-	l2, err := Lambda2(g)
+	l2, err := Lambda2(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +117,15 @@ func TestSweepCutValidation(t *testing.T) {
 	b.AddVertices(3)
 	if _, err := SweepCut(b.MustBuild()); err == nil {
 		t.Error("edgeless graph accepted")
+	}
+}
+
+// Past 512 vertices Lambda2 takes the Chebyshev solver, which stops on a
+// cancelled ctx with its error.
+func TestLambda2Cancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Lambda2(ctx, gen.Grid2D(24, 24)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Lambda2 under a cancelled ctx = %v, want context.Canceled", err)
 	}
 }

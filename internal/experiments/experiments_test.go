@@ -422,7 +422,7 @@ func TestTableHongKungConsistent(t *testing.T) {
 
 func TestComputeBoundsMatchesDirectSpectralBound(t *testing.T) {
 	// The cached spectrum, evaluated per M, must agree exactly with a
-	// direct Theorem 4 SpectralBound call at that M.
+	// direct Theorem 4 SpectralBoundContext call at that M.
 	cfg := tiny()
 	g := gen.FFT(4)
 	gb, err := computeBounds(context.Background(), cfg, g, false)
@@ -430,7 +430,7 @@ func TestComputeBoundsMatchesDirectSpectralBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, M := range []int{2, 4, 8} {
-		direct, err := core.SpectralBound(g, core.Options{
+		direct, err := core.SpectralBoundContext(context.Background(), g, core.Options{
 			M: M, MaxK: cfg.MaxK, Solver: cfg.Solver, Laplacian: laplacian.OutDegreeNormalized,
 		})
 		if err != nil {

@@ -160,3 +160,48 @@ func TestSweepSolvesEachSpectrumOnce(t *testing.T) {
 		t.Errorf("sweep solved %d spectra with %d memo hits, want fewer than 86 solves", solves, hits)
 	}
 }
+
+// TestScopesSumToProcessTotals runs experiments whose solvers once minted
+// their own root context, dropping the sweep's scope: λ2 through the
+// Lanczos solver, the expansion table's λ2, the Hong-Kung dominator
+// max-flows and the partitioned min-cut. Every counter the sweep emitted
+// must land in its scope section as well as in the process totals.
+func TestScopesSumToProcessTotals(t *testing.T) {
+	obs.Reset()
+	obs.ResetScopes()
+	obs.Enable(true)
+	t.Cleanup(func() {
+		obs.Enable(false)
+		obs.ResetScopes()
+		obs.Reset()
+	})
+	names := []string{"lambda2", "expansion", "hongkung", "mincut-partitioned"}
+	if _, err := runRunners(context.Background(), QuickConfig(), "", names, io.Discard, Runners()); err != nil {
+		t.Fatal(err)
+	}
+	var sweep *obs.ScopeSection
+	for _, sec := range obs.ScopeSections() {
+		if sec.Path == "sweep" {
+			sweep = &sec
+		}
+	}
+	if sweep == nil {
+		t.Fatal("no sweep scope section")
+	}
+	total := obs.Default().Snapshot().Counters
+	for _, name := range []string{"linalg.dense.ql_iters", "linalg.lanczos.restarts", "mincut.flows"} {
+		if total[name] == 0 {
+			t.Errorf("the sweep emitted no %s", name)
+		}
+	}
+	for name, v := range total {
+		if got := sweep.Metrics.Counters[name]; got != v {
+			t.Errorf("%s: sweep section %d, process total %d", name, got, v)
+		}
+	}
+	for name := range sweep.Metrics.Counters {
+		if _, ok := total[name]; !ok {
+			t.Errorf("%s: in the sweep section but not the process totals", name)
+		}
+	}
+}

@@ -96,7 +96,7 @@ func TableFFT(ctx context.Context, cfg Config) (*Table, error) {
 			// Theorem 5 evaluated from the exact analytic spectrum over
 			// the full k sweep (cheap: the spectrum is closed form).
 			spec := analytic.ButterflySpectrum(l)
-			computed, _, _ := core.BoundFromEigenvalues(spec, g.N(), M, 1, 2)
+			computed, _, _ := core.BoundFromEigenvaluesContext(ctx, spec, g.N(), M, 1, 2)
 			hk := analytic.HongKungFFT(l, M)
 			ratio := 0.0
 			if hk > 0 {

@@ -85,7 +85,7 @@ func TablePartitionedMinCut(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		parted, err := mincut.PartitionedBound(g, parts, M)
+		parted, err := mincut.PartitionedBound(ctx, g, parts, M)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func TableLambda2(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		eigs, err := linalg.SmallestEigsPSD(L, L.GershgorinUpper(), 2, nil)
+		eigs, err := linalg.SmallestEigsPSDContext(ctx, L, L.GershgorinUpper(), 2, nil)
 		if err != nil {
 			return nil, err
 		}

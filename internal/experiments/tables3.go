@@ -37,7 +37,7 @@ func TableExpansion(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	M := 4
 	for _, g := range graphs {
-		l2, err := expansion.Lambda2(g)
+		l2, err := expansion.Lambda2(ctx, g)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func TableHongKung(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			hk, err := hongkung.Bound(g, M, hongkung.Options{})
+			hk, err := hongkung.Bound(ctx, g, M, hongkung.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -21,6 +21,11 @@ import (
 	"graphio/internal/obs"
 )
 
+// process is the nil *obs.Scope. The fault counters are process-level by
+// design: a wrapper is not tied to the task whose solve it perturbs, so
+// they land in the default registry alone.
+var process *obs.Scope
+
 // Op wraps an Operator and injects faults into MatVec by call number.
 // Call numbers are 1-based; a threshold field of 0 disables that fault.
 // The zero window (Until == 0) keeps a fault active forever once it starts.
@@ -97,7 +102,7 @@ func (o *Op) MatVec(dst, src []float64) {
 	}
 	if faulted {
 		o.faults.Add(1)
-		obs.Inc("faultinject.faulted_matvecs")
+		process.Inc("faultinject.faulted_matvecs")
 	}
 }
 

@@ -29,11 +29,11 @@ func TestBoundsMatchTwoLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct4, err := core.SpectralBound(g, core.Options{M: 4})
+	direct4, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct16, err := core.SpectralBound(g, core.Options{M: 16})
+	direct16, err := core.SpectralBoundContext(context.Background(), g, core.Options{M: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,12 @@
 // minimum vertex cuts (package maxflow); memoized per part mask.
 //
 // Accounting caveat: Hong-Kung counts *total* I/O (inputs are loaded,
-// outputs stored). Compare its bound against redblue.Optimal with
+// outputs stored). Compare its bound against redblue.OptimalContext with
 // CountTrivial set — not against the paper's non-trivial-I/O quantities.
 package hongkung
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -39,8 +40,10 @@ type Options struct {
 }
 
 // MinPartition returns P(S): the minimum number of parts in an S-partition
-// of g. Limited to 16 vertices.
-func MinPartition(g *graph.Graph, S int, opt Options) (int, error) {
+// of g. Limited to 16 vertices. ctx is checked once per down-set the
+// lattice search expands; a cancelled or expired context returns its
+// error.
+func MinPartition(ctx context.Context, g *graph.Graph, S int, opt Options) (int, error) {
 	n := g.N()
 	if n > 16 {
 		return 0, fmt.Errorf("hongkung: exact partition limited to 16 vertices, graph has %d", n)
@@ -56,16 +59,7 @@ func MinPartition(g *graph.Graph, S int, opt Options) (int, error) {
 		maxDS = 1 << 13
 	}
 
-	preds := make([]uint32, n)
-	succs := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		for _, p := range g.Pred(v) {
-			preds[v] |= 1 << uint(p)
-		}
-		for _, s := range g.Succ(v) {
-			succs[v] |= 1 << uint(s)
-		}
-	}
+	preds, succs := adjacencyMasks(g)
 	all := uint32(1)<<n - 1
 
 	// Enumerate all down-sets (prefix-closed vertex sets).
@@ -96,7 +90,7 @@ func MinPartition(g *graph.Graph, S int, opt Options) (int, error) {
 		if d, ok := domCache[part]; ok {
 			return d, nil
 		}
-		d, err := minDominator(g, part)
+		d, err := minDominator(ctx, g, part)
 		if err != nil {
 			return 0, err
 		}
@@ -115,6 +109,9 @@ func MinPartition(g *graph.Graph, S int, opt Options) (int, error) {
 	// dist; uniform part cost makes layered BFS via a queue correct).
 	queue := []uint32{0}
 	for qi := 0; qi < len(queue); qi++ {
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("hongkung: partition search: %w", err)
+		}
 		d := queue[qi]
 		di := dist[index[d]]
 		if d == all {
@@ -149,6 +146,23 @@ func MinPartition(g *graph.Graph, S int, opt Options) (int, error) {
 	return int(dist[index[all]]), nil
 }
 
+// adjacencyMasks returns each vertex's predecessors and successors as
+// bitmasks.
+func adjacencyMasks(g *graph.Graph) (preds, succs []uint32) {
+	n := g.N()
+	preds = make([]uint32, n)
+	succs = make([]uint32, n)
+	for v := 0; v < n; v++ {
+		for _, p := range g.Pred(v) {
+			preds[v] |= 1 << uint(p)
+		}
+		for _, s := range g.Succ(v) {
+			succs[v] |= 1 << uint(s)
+		}
+	}
+	return preds, succs
+}
+
 // enumerateDownSets lists every prefix-closed subset of V.
 func enumerateDownSets(n int, preds []uint32, cap int) ([]uint32, error) {
 	out := []uint32{0}
@@ -178,48 +192,60 @@ func enumerateDownSets(n int, preds []uint32, cap int) ([]uint32, error) {
 // (vertices inside the part may themselves be dominators). The network
 // indices are in range by construction, so errors here indicate a bug in
 // the reduction and surface as wrapped errors rather than panics.
-func minDominator(g *graph.Graph, part uint32) (int, error) {
-	n := g.N()
-	net := maxflow.NewNetwork(2*n + 2)
-	s, t := 2*n, 2*n+1
-	for u := 0; u < n; u++ {
-		if err := net.AddEdge(2*u, 2*u+1, 1); err != nil {
-			return 0, fmt.Errorf("hongkung: dominator network: %w", err)
-		}
+func minDominator(ctx context.Context, g *graph.Graph, part uint32) (int, error) {
+	net, s, t, err := dominatorNetwork(g, part)
+	if err != nil {
+		return 0, fmt.Errorf("hongkung: dominator network: %w", err)
 	}
-	for x := 0; x < n; x++ {
-		for _, y := range g.Succ(x) {
-			if err := net.AddEdge(2*x+1, 2*int(y), maxflow.Inf); err != nil {
-				return 0, fmt.Errorf("hongkung: dominator network: %w", err)
-			}
-		}
-	}
-	for u := 0; u < n; u++ {
-		if g.InDeg(u) == 0 {
-			if err := net.AddEdge(s, 2*u, maxflow.Inf); err != nil {
-				return 0, fmt.Errorf("hongkung: dominator network: %w", err)
-			}
-		}
-		if part&(1<<uint(u)) != 0 {
-			if err := net.AddEdge(2*u+1, t, maxflow.Inf); err != nil {
-				return 0, fmt.Errorf("hongkung: dominator network: %w", err)
-			}
-		}
-	}
-	flow, err := net.MaxFlow(s, t)
+	flow, err := net.MaxFlowContext(ctx, s, t)
 	if err != nil {
 		return 0, fmt.Errorf("hongkung: dominator max-flow: %w", err)
 	}
 	return int(flow), nil
 }
 
+// dominatorNetwork builds minDominator's split-node network: u_in = 2u,
+// u_out = 2u+1, source s = 2n wired to every graph source, sink t = 2n+1
+// wired from every part member.
+func dominatorNetwork(g *graph.Graph, part uint32) (net *maxflow.Network, s, t int, err error) {
+	n := g.N()
+	net = maxflow.NewNetwork(2*n + 2)
+	s, t = 2*n, 2*n+1
+	for u := 0; u < n; u++ {
+		if err := net.AddEdge(2*u, 2*u+1, 1); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	for x := 0; x < n; x++ {
+		for _, y := range g.Succ(x) {
+			if err := net.AddEdge(2*x+1, 2*int(y), maxflow.Inf); err != nil {
+				return nil, 0, 0, err
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		if g.InDeg(u) == 0 {
+			if err := net.AddEdge(s, 2*u, maxflow.Inf); err != nil {
+				return nil, 0, 0, err
+			}
+		}
+		if part&(1<<uint(u)) != 0 {
+			if err := net.AddEdge(2*u+1, t, maxflow.Inf); err != nil {
+				return nil, 0, 0, err
+			}
+		}
+	}
+	return net, s, t, nil
+}
+
 // Bound returns the Hong-Kung lower bound on the *total* I/O of any
-// execution with fast memory M: M · (P(2M) − 1).
-func Bound(g *graph.Graph, M int, opt Options) (float64, error) {
+// execution with fast memory M: M · (P(2M) − 1). ctx cancels the
+// partition search as in MinPartition.
+func Bound(ctx context.Context, g *graph.Graph, M int, opt Options) (float64, error) {
 	if M < 1 {
 		return 0, errors.New("hongkung: M must be ≥ 1")
 	}
-	p, err := MinPartition(g, 2*M, opt)
+	p, err := MinPartition(ctx, g, 2*M, opt)
 	if err != nil {
 		return 0, err
 	}

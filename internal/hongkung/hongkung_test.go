@@ -1,6 +1,8 @@
 package hongkung
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -13,14 +15,14 @@ func TestChainOnePart(t *testing.T) {
 	// A chain is dominated by its single source and has one sink: P(S)=1
 	// for any S ≥ 1, so the bound is trivially 0.
 	g := gen.Chain(8)
-	p, err := MinPartition(g, 1, Options{})
+	p, err := MinPartition(context.Background(), g, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p != 1 {
 		t.Errorf("chain P(1)=%d, want 1", p)
 	}
-	b, err := Bound(g, 2, Options{})
+	b, err := Bound(context.Background(), g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestAntichainPartition(t *testing.T) {
 	b.AddVertices(6)
 	g := b.MustBuild()
 	for S, want := range map[int]int{1: 6, 2: 3, 3: 2, 6: 1} {
-		p, err := MinPartition(g, S, Options{})
+		p, err := MinPartition(context.Background(), g, S, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,17 +50,17 @@ func TestAntichainPartition(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	g := gen.Chain(3)
-	if _, err := MinPartition(g, 0, Options{}); err == nil {
+	if _, err := MinPartition(context.Background(), g, 0, Options{}); err == nil {
 		t.Error("S=0 accepted")
 	}
-	if _, err := MinPartition(gen.FFT(3), 4, Options{}); err == nil {
+	if _, err := MinPartition(context.Background(), gen.FFT(3), 4, Options{}); err == nil {
 		t.Error("32-vertex graph should exceed the 16-vertex limit")
 	}
-	if _, err := Bound(g, 0, Options{}); err == nil {
+	if _, err := Bound(context.Background(), g, 0, Options{}); err == nil {
 		t.Error("M=0 accepted")
 	}
 	empty := graph.NewBuilder(0, 0).MustBuild()
-	if p, err := MinPartition(empty, 2, Options{}); err != nil || p != 0 {
+	if p, err := MinPartition(context.Background(), empty, 2, Options{}); err != nil || p != 0 {
 		t.Errorf("empty graph: %d, %v", p, err)
 	}
 }
@@ -66,7 +68,7 @@ func TestValidation(t *testing.T) {
 func TestDownSetCap(t *testing.T) {
 	b := graph.NewBuilder(14, 0)
 	b.AddVertices(14) // antichain: 2^14 down-sets
-	if _, err := MinPartition(b.MustBuild(), 2, Options{MaxDownSets: 100}); err == nil {
+	if _, err := MinPartition(context.Background(), b.MustBuild(), 2, Options{MaxDownSets: 100}); err == nil {
 		t.Error("down-set cap not enforced")
 	}
 }
@@ -80,11 +82,11 @@ func TestMinDominatorKnownCases(t *testing.T) {
 		b.MustEdge(e[0], e[1])
 	}
 	g := b.MustBuild()
-	if d, err := minDominator(g, 1<<3); err != nil || d != 1 {
+	if d, err := minDominator(context.Background(), g, 1<<3); err != nil || d != 1 {
 		t.Errorf("dominator({3}) = %d, %v, want 1", d, err)
 	}
 	// Part {1,2}: dominated by {0}.
-	if d, err := minDominator(g, 1<<1|1<<2); err != nil || d != 1 {
+	if d, err := minDominator(context.Background(), g, 1<<1|1<<2); err != nil || d != 1 {
 		t.Errorf("dominator({1,2}) = %d, %v, want 1", d, err)
 	}
 }
@@ -117,11 +119,11 @@ func TestBoundBelowExactTotalIO(t *testing.T) {
 			if g.MaxInDeg() > M {
 				continue
 			}
-			hk, err := Bound(g, M, Options{})
+			hk, err := Bound(context.Background(), g, M, Options{})
 			if err != nil {
 				t.Fatalf("%s M=%d: %v", g.Name(), M, err)
 			}
-			exact, err := redblue.Optimal(g, M, redblue.Options{CountTrivial: true})
+			exact, err := redblue.OptimalContext(context.Background(), g, M, redblue.Options{CountTrivial: true})
 			if err != nil {
 				t.Fatalf("%s M=%d: %v", g.Name(), M, err)
 			}
@@ -137,18 +139,30 @@ func TestInnerProductNontrivialPartition(t *testing.T) {
 	// Inner product of 3-vectors: 6 inputs force more than one part at
 	// small S (a single part would need a dominator of 6).
 	g := gen.InnerProduct(3)
-	p, err := MinPartition(g, 4, Options{})
+	p, err := MinPartition(context.Background(), g, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p < 2 {
 		t.Errorf("P(4)=%d, want ≥ 2", p)
 	}
-	bound, err := Bound(g, 2, Options{})
+	bound, err := Bound(context.Background(), g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bound <= 0 {
 		t.Errorf("Hong-Kung bound should be positive, got %g", bound)
+	}
+}
+
+func TestCancelledSearchReturnsCtxError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := gen.Grid2D(3, 4)
+	if _, err := MinPartition(ctx, g, 2, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("MinPartition under a cancelled ctx = %v, want context.Canceled", err)
+	}
+	if _, err := Bound(ctx, g, 2, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Bound under a cancelled ctx = %v, want context.Canceled", err)
 	}
 }

@@ -27,8 +27,10 @@
 // record per append however many tasks are retained, and there is no
 // schedule to set. A compacted journal replays into the table the one it
 // replaced replays into, but for lease deadlines and backoffs, which
-// replay re-arms from the clock; when Verify refuses results, the old
-// journal can also bring back tasks retention had forgotten.
+// replay re-arms from the clock, and that holds when Verify refuses
+// results too: replay applies retention before it verifies anything, and
+// a reopen that refused a result rewrites the journal at once, so the
+// task it re-queued is not counted against retention again.
 // Every state change updates a queued count, a terminal count, the set
 // of live tasks and the admission order, so no request scans the
 // retained tasks: only List, Evict and compaction visit them all.

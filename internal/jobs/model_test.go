@@ -76,12 +76,6 @@ func (x *mTask) reopen(leased bool) {
 	x.Expiry, x.NotBefore = time.Time{}, time.Time{}
 }
 
-// durable renders what replay promises to restore of x.
-func (x mTask) durable(leased bool) string {
-	x.reopen(leased)
-	return x.String()
-}
-
 type model struct {
 	ttl         time.Duration
 	maxAttempts int
@@ -298,6 +292,8 @@ func runModel(t *testing.T, data []byte) {
 		opt.LeaseTTL = m.ttl
 	}
 	opt.Failed = func(task Task[item]) { m.hooked = append(m.hooked, task) }
+	lost := "" // the key whose results Verify refuses
+	opt.Verify = func(key, _ string) bool { return key != lost }
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	obs.SetClock(func() time.Time { return now })
 	persist.WrapFile = func(f persist.File) persist.File { return noSync{f} }
@@ -497,11 +493,24 @@ func runModel(t *testing.T, data []byte) {
 				fatalf("Evict = %d after removing %v, want %d after %v", n, removed, wantN, wantRemoved)
 			}
 		case 11:
-			steps = append(steps, "reopen")
+			// Now and then every result of one key is gone by the reopen:
+			// its retained done tasks run again and its index entry goes.
+			lost = ""
+			if b := in.byte(); b%4 == 0 {
+				lost = fmt.Sprintf("k%d", b/4%6)
+			}
+			steps = append(steps, fmt.Sprintf("reopen(lost %q)", lost))
 			if err := tab.Close(); err != nil {
 				fatalf("Close: %v", err)
 			}
 			tab = openTable(t, path, opt)
+			for _, x := range m.tasks {
+				x.reopen(m.ttl > 0)
+				if x.State == Done && x.Key == lost {
+					x.State, x.Result = Queued, ""
+				}
+			}
+			delete(m.results, lost)
 			got := tab.List()
 			var gotLines, wantLines []string
 			for _, task := range got {
@@ -510,7 +519,7 @@ func runModel(t *testing.T, data []byte) {
 				gotLines = append(gotLines, x.String())
 			}
 			for _, x := range m.tasks {
-				wantLines = append(wantLines, x.durable(m.ttl > 0))
+				wantLines = append(wantLines, x.String())
 			}
 			if !slices.Equal(gotLines, wantLines) {
 				fatalf("reopened table holds\n  %s\nwant\n  %s", strings.Join(gotLines, "\n  "), strings.Join(wantLines, "\n  "))
@@ -522,9 +531,7 @@ func runModel(t *testing.T, data []byte) {
 				fatalf("reopened counters: next ID %d, leases %d; want %d, %d", nextID, leases, m.nextID, m.leases)
 			}
 			for i, task := range got {
-				x := m.tasks[i]
-				x.reopen(m.ttl > 0)
-				x.Expiry, x.NotBefore = task.Expiry, task.NotBefore
+				m.tasks[i].Expiry, m.tasks[i].NotBefore = task.Expiry, task.NotBefore
 			}
 			checkCompactedCopy(t, tab, path, opt, fatalf)
 		case 12:
@@ -572,7 +579,7 @@ func checkCompactedCopy(t *testing.T, tab *Table[item], path string, opt Options
 		fatalf("compacting the copy: %v", err)
 	}
 	c = openTable(t, cp, opt)
-	got, want := replayed(c, nil), replayed(tab, nil)
+	got, want := replayed(c), replayed(tab)
 	if err := c.Close(); err != nil {
 		fatalf("%v", err)
 	}
@@ -580,35 +587,25 @@ func checkCompactedCopy(t *testing.T, tab *Table[item], path string, opt Options
 		fatalf("a compacted copy of the journal replays into\n%swant\n%s", got, want)
 	}
 
-	// Each done task comes back queued, keeping its attempts. The journal
-	// also holds the tasks retention forgot, and a done task that comes
-	// back queued no longer takes a retention slot, so some of them come
-	// back from it alone: only the tasks the compacted copy holds compare.
+	// Each done task comes back queued, keeping its attempts, and both
+	// replays keep the tasks retention kept before any comes back.
 	opt.Verify = func(string, string) bool { return false }
 	c = openTable(t, cp, opt)
 	defer func() { _ = c.Close() }()
 	u := openTable(t, orig, opt)
 	defer func() { _ = u.Close() }()
-	held := map[string]bool{}
-	for _, task := range c.order {
-		held[task.ID] = true
-	}
-	if got, want := replayed(c, held), replayed(u, held); got != want {
+	if got, want := replayed(c), replayed(u); got != want {
 		fatalf("with every result refused, a compacted copy of the journal replays into\n%swant\n%s", got, want)
 	}
 }
 
-// replayed renders what replay restores of tab; a non-nil ids limits the
-// tasks to those it holds.
-func replayed(tab *Table[item], ids map[string]bool) string {
+// replayed renders what replay restores of tab.
+func replayed(tab *Table[item]) string {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "  next ID %d, leases %d, results %v\n", tab.nextID, tab.leases, tab.results)
 	for _, task := range tab.order {
-		if ids != nil && !ids[task.ID] {
-			continue
-		}
 		x := *task
 		x.Expiry, x.NotBefore, x.seq = time.Time{}, time.Time{}, 0
 		fmt.Fprintf(&b, "  %+v\n", x)

@@ -56,9 +56,11 @@ type Task[P any] struct {
 // Options configures a Table; each service sets only what it uses.
 type Options[P any] struct {
 	Key func(id string, data P) string // a task's result-index key; nil means its ID
-	// Verify, when non-nil, vets each result replay restores: false on a
-	// done record re-queues the task, keeping the attempts, owner and wall
-	// time its records carry; false on a result record drops it.
+	// Verify, when non-nil, vets each result replay restores, once, after
+	// retention: false on a retained done task re-queues it, keeping the
+	// attempts, owner and wall time its records carry; false on an index
+	// entry no retained done task restored drops it. Open rewrites the
+	// journal once Verify refuses anything, so the change is durable.
 	Verify func(key, result string) bool
 	// Failed, when non-nil, hears of each failed attempt, a Fail or a
 	// lapsed lease (ErrKind KindExpired), with the task moved to Queued or
@@ -150,7 +152,8 @@ type Table[P any] struct {
 
 // Open replays the journal at path, creating it if absent. A CRC-valid
 // record this package cannot read (such as one from an older format) is
-// refused with an error naming the file.
+// refused with an error naming the file, and so is a journal that Verify
+// changed but that cannot be rewritten.
 func Open[P any](path string, opt Options[P]) (*Table[P], error) {
 	wal, raws, err := persist.OpenJournal(path)
 	if err != nil {
@@ -172,6 +175,19 @@ func Open[P any](path string, opt Options[P]) (*Table[P], error) {
 			return nil, fmt.Errorf("jobs: corrupt WAL record %d in %s: %w", i+1, path, err)
 		}
 	}
+	// Retention first, as the live table applied it to the journaled
+	// states, so a journal and its compaction keep the same tasks however
+	// many results fail Verify. A refused result changes the table, and
+	// the journal is rewritten to match before anything else lands: it
+	// still holds the done record of a task that now runs again, which the
+	// next replay would count against retention.
+	t.retainLocked()
+	if t.verifyLocked() {
+		if err := t.compactLocked(); err != nil {
+			_ = t.wal.Close()
+			return nil, fmt.Errorf("jobs: rewrite %s after refused results: %w", path, err)
+		}
+	}
 	t.tidyLocked()
 	return t, nil
 }
@@ -187,24 +203,12 @@ func (t *Table[P]) replay(rec record) error {
 			return err
 		}
 		t.insert(rec.ID, rec.Priority, data, rec.Cached)
-	case "done":
-		if task != nil && t.opt.Verify != nil && !t.opt.Verify(task.Key, rec.SHA) {
-			// The result is gone or altered: run again, keeping what the
-			// record says of the attempts that produced it.
-			t.setState(task, Queued)
-			task.WallMS, task.ErrKind, task.Err = rec.WallMS, "", ""
-			task.carry(rec)
-			return nil
-		}
-		fallthrough
-	case "claim", "retry", "fail", "shed":
+	case "claim", "retry", "done", "fail", "shed":
 		if task != nil {
 			t.apply(task, rec)
 		}
 	case "result":
-		if t.opt.Verify == nil || t.opt.Verify(rec.Key, rec.SHA) {
-			t.results[rec.Key] = rec.SHA
-		}
+		t.results[rec.Key] = rec.SHA
 	case "meta":
 		t.nextID = max(t.nextID, rec.NextID)
 		t.leases = max(t.leases, rec.Leases)
@@ -212,6 +216,46 @@ func (t *Table[P]) replay(rec record) error {
 		return fmt.Errorf("unknown kind %q", rec.Kind)
 	}
 	return nil
+}
+
+// verifyLocked runs Verify once on each (key, result) pair replay
+// restored: a retained done task whose result is gone or altered runs
+// again, keeping what its records say of the attempts that produced it,
+// and its index entry goes; an index entry no retained done task
+// restored, such as one from the done record of a task retention forgot,
+// goes if it fails. It reports whether it changed the table. Caller holds
+// t.mu.
+func (t *Table[P]) verifyLocked() (changed bool) {
+	if t.opt.Verify == nil {
+		return false
+	}
+	verdict := map[[2]string]bool{} // Verify's answer on each pair asked so far
+	verify := func(key, sha string) bool {
+		ok, asked := verdict[[2]string{key, sha}]
+		if !asked {
+			ok = t.opt.Verify(key, sha)
+			verdict[[2]string{key, sha}] = ok
+		}
+		return ok
+	}
+	for _, task := range t.order {
+		if task.State != Done || verify(task.Key, task.Result) {
+			continue
+		}
+		if sha, ok := t.results[task.Key]; ok && sha == task.Result {
+			delete(t.results, task.Key)
+		}
+		t.setState(task, Queued)
+		task.Result = ""
+		changed = true
+	}
+	for key, sha := range t.results {
+		if !verify(key, sha) {
+			delete(t.results, key)
+			changed = true
+		}
+	}
+	return changed
 }
 
 // insert adds a Queued task. A generated ID ("j" and a number) advances
@@ -627,8 +671,7 @@ func (t *Table[P]) Wait(ctx context.Context, tick time.Duration) error {
 // many it dropped. remove runs under the table lock, so an Accept of the
 // same key never finds a removed result still indexed; it must not call
 // the table. When it drops any, it rewrites the journal: replay would
-// otherwise restore them from the done records of forgotten tasks, and
-// re-queue those tasks once Verify finds their results gone.
+// otherwise restore them from the done records of forgotten tasks.
 func (t *Table[P]) Evict(keys []string, remove func(key string) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -669,9 +712,7 @@ func (t *Table[P]) Close() error {
 // later, since the transition before it is already durable. Caller holds
 // t.mu.
 func (t *Table[P]) tidyLocked() {
-	if drop := t.terminal - t.opt.Retain; t.opt.Retain > 0 && drop > 0 {
-		t.forgetOldestLocked(drop)
-	}
+	t.retainLocked()
 	if t.records > 2*(1+len(t.results)+2*len(t.tasks))+64 {
 		if err := t.compactLocked(); err != nil {
 			t.opt.Logf("WAL compaction failed (will retry): %v", err)
@@ -679,11 +720,15 @@ func (t *Table[P]) tidyLocked() {
 	}
 }
 
-// forgetOldestLocked drops the drop oldest terminal tasks. It walks the
-// order only as far as the last of them, and the live tasks it passes
+// retainLocked forgets the oldest terminal tasks past Retain. It walks
+// the order only as far as the last of them, and the live tasks it passes
 // slide up behind it, so the order stays dense and in admission order.
 // Caller holds t.mu.
-func (t *Table[P]) forgetOldestLocked(drop int) {
+func (t *Table[P]) retainLocked() {
+	drop := t.terminal - t.opt.Retain
+	if t.opt.Retain <= 0 || drop <= 0 {
+		return
+	}
 	end := 0
 	for n := 0; n < drop; end++ {
 		if terminal(t.order[end].State) {
@@ -734,8 +779,8 @@ func (t *Table[P]) snapshot(task *Task[P]) ([]record, error) {
 	case Shed:
 		next.Kind = "shed"
 	}
-	if next.Kind == "retry" && next.Attempt == 0 {
-		return recs, nil // queued and never failed: the accept says it all
+	if next.Kind == "retry" && next.Attempt == 0 && next.WallMS == 0 && next.ErrKind == "" && next.Error == "" {
+		return recs, nil // no attempt ended and nothing to carry: the accept says it all
 	}
 	return append(recs, next), nil
 }

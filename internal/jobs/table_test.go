@@ -299,9 +299,10 @@ func TestEvictionSurvivesReopen(t *testing.T) {
 }
 
 // A reopen verifies each result once, compacted or not: the done records
-// restore the index, so compaction writes no result record beside them.
-// With the results gone, each done task comes back queued with the
-// attempts, owner and wall time its records carry, compacted or not.
+// restore the index, so compaction writes no result record beside them,
+// and a cache hit's row shares its result with the row it hit. With the
+// results gone, each done task comes back queued with the attempts, owner
+// and wall time its records carry, compacted or not.
 func TestReopenVerifiesEachResultOnce(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "dist.json")
@@ -317,6 +318,9 @@ func TestReopenVerifiesEachResultOnce(t *testing.T) {
 			if err := tab.Complete(name, "sha-"+name, 5*time.Millisecond, nil); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if hit, err := tab.Accept("", 0, item{Name: "a"}, nil); err != nil || !hit.Cached {
+			t.Fatalf("accept of a done key = %+v, %v; want a cache hit", hit, err)
 		}
 		if compact {
 			tab.mu.Lock()
@@ -336,20 +340,65 @@ func TestReopenVerifiesEachResultOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if calls != 2 {
-			t.Errorf("compacted %v: reopen made %d Verify calls for 2 done tasks, want 2", compact, calls)
+			t.Errorf("compacted %v: reopen made %d Verify calls for 3 done tasks holding 2 results, want 2", compact, calls)
 		}
 		opt.Verify = func(string, string) bool { return false }
 		tab = openTable(t, path, opt)
 		for _, task := range tab.List() {
-			if task.State != Queued || task.Attempts != 1 || task.Owner != "w" || task.WallMS != 5 {
-				t.Errorf("compacted %v: %s with its result gone reopens %s, attempts %d, owner %q, wall %d ms; want queued, 1, \"w\", 5",
-					compact, task.ID, task.State, task.Attempts, task.Owner, task.WallMS)
+			attempts, owner, wall := 1, "w", int64(5)
+			if task.Cached { // never claimed
+				attempts, owner, wall = 0, "", 0
+			}
+			if task.State != Queued || task.Attempts != attempts || task.Owner != owner || task.WallMS != wall {
+				t.Errorf("compacted %v: %s with its result gone reopens %s, attempts %d, owner %q, wall %d ms; want queued, %d, %q, %d",
+					compact, task.ID, task.State, task.Attempts, task.Owner, task.WallMS, attempts, owner, wall)
 			}
 		}
 		if err := tab.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// A task a reopen re-queued because Verify refused its result stays
+// queued through the next reopen, although the journal held its done
+// record and later completions would have pushed that record out of
+// retention.
+func TestRequeueSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	gone := map[string]bool{}
+	opt := Options[item]{Retain: 2, Verify: func(key, _ string) bool { return !gone[key] }}
+	tab := openTable(t, path, opt)
+	defer func() { _ = tab.Close() }()
+	complete := func(name string) {
+		t.Helper()
+		if _, err := tab.Accept(name, 0, item{Name: name}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Complete(name, "sha-"+name, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen := func(want string) {
+		t.Helper()
+		if err := tab.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tab = openTable(t, path, opt)
+		var got []string
+		for _, task := range tab.List() {
+			got = append(got, task.ID+":"+task.State)
+		}
+		if strings.Join(got, " ") != want {
+			t.Fatalf("reopened table holds %v, want %s", got, want)
+		}
+	}
+	complete("a")
+	complete("b")
+	gone["a"] = true
+	reopen("a:queued b:done")
+	complete("c")
+	reopen("a:queued b:done c:done")
 }
 
 // TestTableConcurrentLeases races claims, renewals, expiry sweeps,

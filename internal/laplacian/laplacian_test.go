@@ -1,6 +1,7 @@
 package laplacian
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,7 +131,7 @@ func TestLaplacianPSDAndKernel(t *testing.T) {
 			if !L.IsSymmetric(1e-12) {
 				t.Fatalf("kind=%v: Laplacian not symmetric", kind)
 			}
-			vals, err := linalg.SymEigValues(L)
+			vals, err := linalg.SymEigValuesContext(context.Background(), L)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +192,7 @@ func TestEmptyAndEdgelessGraphs(t *testing.T) {
 	if sp.N != 3 {
 		t.Fatalf("N=%d", sp.N)
 	}
-	vals, err := linalg.SymEigValues(sp.ToDense())
+	vals, err := linalg.SymEigValuesContext(context.Background(), sp.ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package linalg_test
 // the dense solver on three of perfbench's dense inputs.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,7 +81,7 @@ func BenchmarkChebFilteredFFT9(b *testing.B) {
 	c := L.GershgorinUpper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vals, err := linalg.ChebFilteredSmallest(L, c, 100, nil)
+		vals, err := linalg.ChebFilteredSmallestContext(context.Background(), L, c, 100, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func BenchmarkSymEigValues(b *testing.B) {
 		L := laplacian.BuildDense(g, laplacian.OutDegreeNormalized)
 		b.Run(g.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				vals, err := linalg.SymEigValues(L)
+				vals, err := linalg.SymEigValuesContext(context.Background(), L)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,7 +12,7 @@ import (
 	"graphio/internal/obs"
 )
 
-// ChebOptions tunes ChebFilteredSmallest.
+// ChebOptions tunes ChebFilteredSmallestContext.
 type ChebOptions struct {
 	// Tol is the relative residual tolerance. Default 1e-8.
 	Tol float64
@@ -62,7 +62,7 @@ func (o *ChebOptions) withDefaults(n, h int) ChebOptions {
 	return out
 }
 
-// ChebFilteredSmallest computes the h smallest eigenvalues — with
+// ChebFilteredSmallestContext computes the h smallest eigenvalues — with
 // multiplicity — of the symmetric PSD operator A with λmax(A) ≤ c, by
 // Chebyshev-filtered subspace iteration: each sweep applies a degree-d
 // Chebyshev polynomial that damps the unwanted interval [aCut, c] onto
@@ -80,15 +80,11 @@ func (o *ChebOptions) withDefaults(n, h int) ChebOptions {
 // rows or output entries only, never inside one sum, so the eigenvalues
 // are bitwise the same at any core count and for any Operator that
 // computes the same MatVec.
-func ChebFilteredSmallest(A Operator, c float64, h int, opt *ChebOptions) ([]float64, error) {
-	return ChebFilteredSmallestContext(context.Background(), A, c, h, opt)
-}
-
-// ChebFilteredSmallestContext is ChebFilteredSmallest with cooperative
-// cancellation: ctx is checked at every sweep boundary, before every filter
-// degree step, and between columns when A only offers MatVec, so a
-// deadline or cancellation interrupts the solve without waiting for the
-// full subspace iteration to run its course.
+//
+// Cancellation is cooperative: ctx is checked at every sweep boundary,
+// before every filter degree step, and between columns when A only offers
+// MatVec, so a deadline or cancellation interrupts the solve without
+// waiting for the full subspace iteration to run its course.
 func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h int, opt *ChebOptions) ([]float64, error) {
 	vals, _, err := ChebFilteredSmallestPadded(ctx, A, c, h, opt)
 	return vals, err
@@ -102,7 +98,7 @@ func ChebFilteredSmallestContext(ctx context.Context, A Operator, c float64, h i
 func ChebFilteredSmallestPadded(ctx context.Context, A Operator, c float64, h int, opt *ChebOptions) ([]float64, int, error) {
 	n := A.Dim()
 	if h <= 0 {
-		return nil, 0, errors.New("linalg: ChebFilteredSmallest: h must be positive")
+		return nil, 0, errors.New("linalg: ChebFilteredSmallestPadded: h must be positive")
 	}
 	if h > n {
 		h = n
@@ -145,7 +141,7 @@ func ChebFilteredSmallestPadded(ctx context.Context, A Operator, c float64, h in
 
 	// Pilot cut point from a short Lanczos run: roughly where the h-th
 	// smallest eigenvalue sits. Adapted every iteration afterwards.
-	aCut := pilotCut(ctx, A, c, h, rng)
+	aCut := pilotCut(ctx, A, c, rng)
 	if err := ctxErr(ctx, "Chebyshev"); err != nil {
 		return nil, 0, err
 	}
@@ -347,53 +343,13 @@ func clampSpectrum(vals []float64, scale float64) []float64 {
 	return vals
 }
 
-// pilotCut estimates where the h-th smallest eigenvalue lies using a short
+// pilotCut estimates the filter cut from the Ritz values of a 60-step
 // Lanczos run; a rough value suffices (the main loop re-adapts it). A
 // cancelled ctx cuts the pilot short; the fallback c/2 estimate is fine
 // because the caller aborts at its next boundary check anyway.
-func pilotCut(ctx context.Context, A Operator, c float64, h int, rng *rand.Rand) float64 {
-	n := A.Dim()
-	m := 60
-	if m > n {
-		m = n
-	}
-	v := make([]float64, n)
-	//lint:ignore ctx-loop O(n) random vector fill; the pilot Lanczos loop below checks ctx
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	if EqZero(Normalize(v)) {
-		return c / 2
-	}
-	V := make([][]float64, 0, m)
-	alpha := make([]float64, 0, m)
-	beta := make([]float64, 0, m)
-	w := make([]float64, n)
-	for j := 0; j < m; j++ {
-		if ctx.Err() != nil {
-			return c / 2
-		}
-		V = append(V, v)
-		A.MatVec(w, v)
-		if j > 0 {
-			Axpy(-beta[j-1], V[j-1], w)
-		}
-		a := Dot(w, v)
-		alpha = append(alpha, a)
-		Axpy(-a, v, w)
-		OrthogonalizeAgainst(w, V)
-		bnorm := Norm2(w)
-		if EqZero(bnorm) || j == m-1 {
-			break
-		}
-		beta = append(beta, bnorm)
-		nv := make([]float64, n)
-		copy(nv, w)
-		Scale(1/bnorm, nv)
-		v = nv
-	}
-	vals, _, err := TridiagEig(alpha, beta[:len(alpha)-1], false)
-	if err != nil || len(vals) == 0 || !isFinite(vals[len(vals)/4]) {
+func pilotCut(ctx context.Context, A Operator, c float64, rng *rand.Rand) float64 {
+	vals := ritzValues(ctx, A, 60, rng)
+	if len(vals) == 0 || !isFinite(vals[len(vals)/4]) {
 		return c / 2
 	}
 	// Ritz values of a short run overestimate the low end; take an early

@@ -6,6 +6,7 @@ package linalg_test
 // 1e-8·c where c bounds the spectrum.
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -27,7 +28,7 @@ func chebAgainst(t *testing.T, name string, g *graph.Graph, kind laplacian.Kind,
 	}
 	c := L.GershgorinUpper()
 	h = min(h, L.N)
-	got, err := linalg.ChebFilteredSmallest(L, c, h, nil)
+	got, err := linalg.ChebFilteredSmallestContext(context.Background(), L, c, h, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -50,7 +51,7 @@ func TestChebMatchesDenseAcrossGenerators(t *testing.T) {
 		{"rdag:20x16", gen.RandomLayeredDAG(20, 16, 3, 5)},
 	}
 	for _, tc := range cases {
-		want, err := linalg.SymEigValues(laplacian.BuildDense(tc.g, laplacian.OutDegreeNormalized))
+		want, err := linalg.SymEigValuesContext(context.Background(), laplacian.BuildDense(tc.g, laplacian.OutDegreeNormalized))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestChebPathSmallest(t *testing.T) {
 		if h > n {
 			h = n
 		}
-		got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), h, nil)
+		got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), h, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -44,7 +44,7 @@ func TestChebRecoversMultiplicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), 5, nil)
+	got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestChebDisconnectedZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), 3, nil)
+	got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestChebMatchesDenseOnRandomLaplacians(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := 8
-		want, err := SymEigValues(m.ToDense())
+		want, err := SymEigValuesContext(context.Background(), m.ToDense())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), h, nil)
+		got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), h, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -118,14 +118,14 @@ func TestChebMatchesDenseOnRandomLaplacians(t *testing.T) {
 
 func TestChebFullSpectrumAndOversizedH(t *testing.T) {
 	m := pathCSR(12)
-	got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), 12, nil)
+	got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), 12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(got, pathEigenvalues(12)); d > 1e-7 {
 		t.Errorf("full spectrum error %g", d)
 	}
-	got, err = ChebFilteredSmallest(m, m.GershgorinUpper(), 50, nil)
+	got, err = ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,12 @@ func TestChebFullSpectrumAndOversizedH(t *testing.T) {
 // still come out orthogonal to the earlier ones.
 func TestChebFullBlockAcrossPanels(t *testing.T) {
 	m := butterflyCSR(4)
-	want, err := SymEigValues(m.ToDense())
+	want, err := SymEigValuesContext(context.Background(), m.ToDense())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := m.GershgorinUpper()
-	got, err := ChebFilteredSmallest(m, c, m.N, nil)
+	got, err := ChebFilteredSmallestContext(context.Background(), m, c, m.N, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestChebBlockNoWiderThanH(t *testing.T) {
 	m := pathCSR(6)
 	want := pathEigenvalues(6)
 	for h := 1; h <= 3; h++ {
-		got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), h, &ChebOptions{Block: max(h-1, 1)})
+		got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), h, &ChebOptions{Block: max(h-1, 1)})
 		if err == nil && len(got) != h {
 			t.Fatalf("h=%d, Block=%d: %d eigenvalues", h, max(h-1, 1), len(got))
 		}
-		got, err = ChebFilteredSmallest(m, m.GershgorinUpper(), h, &ChebOptions{Block: h})
+		got, err = ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), h, &ChebOptions{Block: h})
 		if err != nil {
 			var nc *NotConvergedError
 			if !errors.As(err, &nc) {
@@ -182,10 +182,10 @@ func TestChebBlockNoWiderThanH(t *testing.T) {
 
 func TestChebValidation(t *testing.T) {
 	m := pathCSR(4)
-	if _, err := ChebFilteredSmallest(m, 4, 0, nil); err == nil {
+	if _, err := ChebFilteredSmallestContext(context.Background(), m, 4, 0, nil); err == nil {
 		t.Error("h=0 accepted")
 	}
-	if out, err := ChebFilteredSmallest(emptyOperator{}, 1, 3, nil); err != nil || out != nil {
+	if out, err := ChebFilteredSmallestContext(context.Background(), emptyOperator{}, 1, 3, nil); err != nil || out != nil {
 		t.Error("empty operator should return nil, nil")
 	}
 }
@@ -200,7 +200,7 @@ func TestChebSoundPaddingOnSweepExhaustion(t *testing.T) {
 	// underestimate (each value ≤ the true one) or an explicit error.
 	m := pathCSR(60)
 	want := pathEigenvalues(60)
-	got, err := ChebFilteredSmallest(m, m.GershgorinUpper(), 10, &ChebOptions{MaxIter: 1, Degree: 4})
+	got, err := ChebFilteredSmallestContext(context.Background(), m, m.GershgorinUpper(), 10, &ChebOptions{MaxIter: 1, Degree: 4})
 	if err != nil {
 		return // explicit failure is acceptable
 	}
@@ -217,11 +217,11 @@ func TestChebAgreesWithLanczosMediumGraph(t *testing.T) {
 	m := torusCSR(18)
 	h := 20
 	c := m.GershgorinUpper()
-	a, err := ChebFilteredSmallest(m, c, h, nil)
+	a, err := ChebFilteredSmallestContext(context.Background(), m, c, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SmallestEigsPSD(m, c, h, nil)
+	b, err := SmallestEigsPSDContext(context.Background(), m, c, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func determinismCases() []chebCase {
 func TestChebDeterminismAcrossOperatorWrappers(t *testing.T) {
 	for _, tc := range determinismCases() {
 		c := tc.m.GershgorinUpper()
-		want, err := ChebFilteredSmallest(tc.m, c, tc.h, tc.opt)
+		want, err := ChebFilteredSmallestContext(context.Background(), tc.m, c, tc.h, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -325,7 +325,7 @@ func TestChebDeterminismAcrossOperatorWrappers(t *testing.T) {
 			{"counting", &CountingOperator{A: tc.m}},
 			{"counting(matvec-only)", &CountingOperator{A: matVecOnly{tc.m}}},
 		} {
-			got, err := ChebFilteredSmallest(op.A, c, tc.h, tc.opt)
+			got, err := ChebFilteredSmallestContext(context.Background(), op.A, c, tc.h, tc.opt)
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, op.name, err)
 			}
@@ -343,7 +343,7 @@ func TestChebDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		var want []float64
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
-			got, err := ChebFilteredSmallest(tc.m, c, tc.h, tc.opt)
+			got, err := ChebFilteredSmallestContext(context.Background(), tc.m, c, tc.h, tc.opt)
 			if err != nil {
 				t.Fatalf("%s GOMAXPROCS=%d: %v", tc.name, procs, err)
 			}

@@ -149,16 +149,10 @@ func symEig(a *Dense, wantV bool) (vals []float64, vecs *Dense, st denseStats, e
 	return d, vecs, st, nil
 }
 
-// SymEigValues returns only the eigenvalues of the symmetric matrix a, in
-// ascending order. As the dense path's top-level eigensolve it reports the
-// QL sweep count and the wall time of tred2 and tql2 to the
-// observability layer.
-func SymEigValues(a *Dense) ([]float64, error) {
-	return SymEigValuesContext(context.Background(), a)
-}
-
-// SymEigValuesContext is SymEigValues with its solver counters attributed
-// to ctx's telemetry scope.
+// SymEigValuesContext returns only the eigenvalues of the symmetric matrix
+// a, in ascending order. As the dense path's top-level eigensolve it
+// reports the QL sweep count and the wall time of tred2 and tql2 to the
+// observability layer, attributed to ctx's telemetry scope.
 func SymEigValuesContext(ctx context.Context, a *Dense) ([]float64, error) {
 	vals, _, st, err := symEig(a, false)
 	if err == nil && obs.Enabled() {

@@ -8,6 +8,7 @@ package linalg_test
 // and tred2 against its column-walking reference, both bitwise.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -51,7 +52,7 @@ func FuzzTridiagEigBisect(f *testing.F) {
 			lo, hi = hi, lo
 		}
 
-		out, err := linalg.TridiagEigBisect(diag, sub, lo, hi)
+		out, err := linalg.TridiagEigBisectContext(context.Background(), diag, sub, lo, hi)
 		if err != nil {
 			var nf *linalg.NonFiniteError
 			if !errors.As(err, &nf) {

@@ -10,7 +10,7 @@ import (
 	"graphio/internal/obs"
 )
 
-// LanczosOptions tunes SmallestEigsPSD.
+// LanczosOptions tunes SmallestEigsPSDContext.
 type LanczosOptions struct {
 	// Tol is the relative residual tolerance for accepting a Ritz pair;
 	// the absolute tolerance is Tol * max(c, 1). Default 1e-9.
@@ -55,9 +55,9 @@ func (o *LanczosOptions) withDefaults(n, h int) LanczosOptions {
 	return out
 }
 
-// SmallestEigsPSD computes the h smallest eigenvalues — with multiplicity —
-// of the symmetric positive-semidefinite operator A, given an upper bound
-// c ≥ λmax(A) (use CSR.GershgorinUpper for Laplacians).
+// SmallestEigsPSDContext computes the h smallest eigenvalues — with
+// multiplicity — of the symmetric positive-semidefinite operator A, given
+// an upper bound c ≥ λmax(A) (use CSR.GershgorinUpper for Laplacians).
 //
 // The method is Lanczos with full reorthogonalization on the complement
 // operator B = cI − A, whose *largest* eigenvalues are A's smallest and are
@@ -67,18 +67,14 @@ func (o *LanczosOptions) withDefaults(n, h int) LanczosOptions {
 // Lanczos alone finds only one copy per eigenvalue), which matters for the
 // highly symmetric spectra in this module (hypercubes, butterflies).
 //
-// The returned slice has length min(h, n), sorted ascending.
-func SmallestEigsPSD(A Operator, c float64, h int, opt *LanczosOptions) ([]float64, error) {
-	return SmallestEigsPSDContext(context.Background(), A, c, h, opt)
-}
-
-// SmallestEigsPSDContext is SmallestEigsPSD with cooperative cancellation:
-// ctx is checked at every Lanczos step and restart boundary, so a deadline
-// or cancellation interrupts the solve within one mat-vec.
+// The returned slice has length min(h, n), sorted ascending. Cancellation
+// is cooperative: ctx is checked at every Lanczos step and restart
+// boundary, so a deadline or cancellation interrupts the solve within one
+// mat-vec.
 func SmallestEigsPSDContext(ctx context.Context, A Operator, c float64, h int, opt *LanczosOptions) ([]float64, error) {
 	n := A.Dim()
 	if h <= 0 {
-		return nil, errors.New("linalg: SmallestEigsPSD: h must be positive")
+		return nil, errors.New("linalg: SmallestEigsPSDContext: h must be positive")
 	}
 	if h > n {
 		h = n
@@ -99,7 +95,7 @@ func SmallestEigsPSDContext(ctx context.Context, A Operator, c float64, h int, o
 	// Lanczos run estimates λmax cheaply; the algebraically-largest
 	// eigenvalues of cI − A are the smallest of A for *any* c, so a slight
 	// underestimate costs nothing but convergence speed.
-	if est := estimateLargest(A, rng); est > 0 && 1.05*est < c {
+	if est := estimateLargest(ctx, A, rng); est > 0 && 1.05*est < c {
 		c = 1.05 * est
 	}
 	// Krylov growth is capped: the inner eigensolve is O(steps³) and the
@@ -348,31 +344,42 @@ func kthSmallest(x []float64, k int) float64 {
 	return tmp[k-1]
 }
 
-// estimateLargest estimates λmax(A) with a short Lanczos run (full
-// reorthogonalization over its few iterates; the largest Ritz value of a
-// 40-step Krylov space is accurate to far better than the 5% slack its
-// caller applies). Returns 0 on degenerate input.
-func estimateLargest(A Operator, rng *rand.Rand) float64 {
-	n := A.Dim()
-	m := 40
-	if m > n {
-		m = n
-	}
-	if m == 0 {
+// estimateLargest estimates λmax(A) with a 40-step Lanczos run (the
+// largest Ritz value of that Krylov space is accurate to far better than
+// the 5% slack its caller applies). Returns 0 on degenerate input or once
+// ctx is done.
+func estimateLargest(ctx context.Context, A Operator, rng *rand.Rand) float64 {
+	vals := ritzValues(ctx, A, 40, rng)
+	if len(vals) == 0 {
 		return 0
 	}
+	return vals[len(vals)-1]
+}
+
+// ritzValues runs min(m, A.Dim()) steps of Lanczos with full
+// reorthogonalization from a start vector drawn from rng and returns the
+// Ritz values, ascending: the short run behind pilotCut and
+// estimateLargest. It returns nil on a zero start vector, on a failed
+// tridiagonal solve, or once ctx is done.
+func ritzValues(ctx context.Context, A Operator, m int, rng *rand.Rand) []float64 {
+	n := A.Dim()
+	m = min(m, n)
 	v := make([]float64, n)
+	//lint:ignore ctx-loop O(n) random vector fill; the Lanczos loop below checks ctx
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
 	if EqZero(Normalize(v)) {
-		return 0
+		return nil
 	}
 	V := make([][]float64, 0, m)
 	alpha := make([]float64, 0, m)
 	beta := make([]float64, 0, m)
 	w := make([]float64, n)
 	for j := 0; j < m; j++ {
+		if ctx.Err() != nil {
+			return nil
+		}
 		V = append(V, v)
 		A.MatVec(w, v)
 		if j > 0 {
@@ -393,10 +400,10 @@ func estimateLargest(A Operator, rng *rand.Rand) float64 {
 		v = nv
 	}
 	vals, _, err := TridiagEig(alpha, beta[:len(alpha)-1], false)
-	if err != nil || len(vals) == 0 {
-		return 0
+	if err != nil {
+		return nil
 	}
-	return vals[len(vals)-1]
+	return vals
 }
 
 func insertionSort(x []float64) {

@@ -49,10 +49,10 @@ func TestSolversReportNonConvergenceUnderNoise(t *testing.T) {
 		run    func(op linalg.Operator, c float64) ([]float64, error)
 	}{
 		{"lanczos", "Lanczos", big, func(op linalg.Operator, c float64) ([]float64, error) {
-			return linalg.SmallestEigsPSD(op, c, 4, &linalg.LanczosOptions{MaxRestarts: 3, Steps: 12})
+			return linalg.SmallestEigsPSDContext(context.Background(), op, c, 4, &linalg.LanczosOptions{MaxRestarts: 3, Steps: 12})
 		}},
 		{"chebyshev", "Chebyshev", small, func(op linalg.Operator, c float64) ([]float64, error) {
-			return linalg.ChebFilteredSmallest(op, c, 4, &linalg.ChebOptions{MaxIter: 3, Degree: 6})
+			return linalg.ChebFilteredSmallestContext(context.Background(), op, c, 4, &linalg.ChebOptions{MaxIter: 3, Degree: 6})
 		}},
 	}
 	for _, tc := range cases {
@@ -97,10 +97,10 @@ func TestSolversDetectNaNPoisoning(t *testing.T) {
 		run  func(op linalg.Operator) ([]float64, error)
 	}{
 		{"lanczos", func(op linalg.Operator) ([]float64, error) {
-			return linalg.SmallestEigsPSD(op, c, 4, nil)
+			return linalg.SmallestEigsPSDContext(context.Background(), op, c, 4, nil)
 		}},
 		{"chebyshev", func(op linalg.Operator) ([]float64, error) {
-			return linalg.ChebFilteredSmallest(op, c, 4, nil)
+			return linalg.ChebFilteredSmallestContext(context.Background(), op, c, 4, nil)
 		}},
 	}
 	for _, tc := range cases {
@@ -194,10 +194,10 @@ func TestTransientFaultWindowClears(t *testing.T) {
 	m := pathLaplacian(t, 30)
 	c := m.GershgorinUpper()
 	inj := &faultinject.Op{A: m, NaNFrom: 1, Until: 3}
-	if _, err := linalg.SmallestEigsPSD(inj, c, 3, &linalg.LanczosOptions{MaxRestarts: 1, Steps: 8}); err == nil {
+	if _, err := linalg.SmallestEigsPSDContext(context.Background(), inj, c, 3, &linalg.LanczosOptions{MaxRestarts: 1, Steps: 8}); err == nil {
 		t.Fatal("solve inside the fault window succeeded")
 	}
-	vals, err := linalg.SmallestEigsPSD(inj, c, 3, nil)
+	vals, err := linalg.SmallestEigsPSDContext(context.Background(), inj, c, 3, nil)
 	if err != nil {
 		t.Fatalf("solve after the fault window cleared: %v", err)
 	}

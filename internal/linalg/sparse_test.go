@@ -74,7 +74,7 @@ func TestGershgorinBoundsSpectrum(t *testing.T) {
 	for _, n := range []int{2, 5, 20} {
 		m := pathCSR(n)
 		c := m.GershgorinUpper()
-		vals, err := SymEigValues(m.ToDense())
+		vals, err := SymEigValuesContext(context.Background(), m.ToDense())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestLanczosPathSmallest(t *testing.T) {
 		if h > n {
 			h = n
 		}
-		got, err := SmallestEigsPSD(m, m.GershgorinUpper(), h, nil)
+		got, err := SmallestEigsPSDContext(context.Background(), m, m.GershgorinUpper(), h, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -135,7 +135,7 @@ func TestLanczosRecoversMultiplicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), 5, nil)
+	got, err := SmallestEigsPSDContext(context.Background(), m, m.GershgorinUpper(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestLanczosDisconnectedZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), 3, nil)
+	got, err := SmallestEigsPSDContext(context.Background(), m, m.GershgorinUpper(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLanczosFullSpectrumSmallMatrix(t *testing.T) {
 	// h = n: Lanczos must return the entire spectrum.
 	n := 12
 	m := pathCSR(n)
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), n, nil)
+	got, err := SmallestEigsPSDContext(context.Background(), m, m.GershgorinUpper(), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestLanczosFullSpectrumSmallMatrix(t *testing.T) {
 
 func TestLanczosHLargerThanN(t *testing.T) {
 	m := pathCSR(4)
-	got, err := SmallestEigsPSD(m, m.GershgorinUpper(), 10, nil)
+	got, err := SmallestEigsPSDContext(context.Background(), m, m.GershgorinUpper(), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestLanczosMatchesDenseOnRandomLaplacians(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := 8
-		want, err := SymEigValues(m.ToDense())
+		want, err := SymEigValuesContext(context.Background(), m.ToDense())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SmallestEigsPSD(m, m.GershgorinUpper(), h, nil)
+		got, err := SmallestEigsPSDContext(context.Background(), m, m.GershgorinUpper(), h, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -234,7 +234,7 @@ func TestLanczosMatchesDenseOnRandomLaplacians(t *testing.T) {
 
 func TestSolverErrorsOnBadH(t *testing.T) {
 	m := pathCSR(3)
-	if _, err := SmallestEigsPSD(m, 4, 0, nil); err == nil {
+	if _, err := SmallestEigsPSDContext(context.Background(), m, 4, 0, nil); err == nil {
 		t.Error("Lanczos accepted h=0")
 	}
 }

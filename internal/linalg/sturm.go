@@ -8,7 +8,7 @@ import (
 	"graphio/internal/obs"
 )
 
-// TridiagEigBisect computes eigenvalues lo..hi (0-based, inclusive,
+// TridiagEigBisectContext computes eigenvalues lo..hi (0-based, inclusive,
 // ascending order) of the symmetric tridiagonal matrix with diagonal diag
 // and subdiagonal sub, by bisection on Sturm sequences. It is an
 // implementation independent of the QL iteration in TridiagEig and serves
@@ -19,27 +19,22 @@ import (
 // The Sturm count of a shift σ — the number of negative values in the
 // sequence d_i = (diag_i − σ) − sub_{i-1}²/d_{i-1} — equals the number of
 // eigenvalues below σ; bisection on that count isolates each eigenvalue to
-// machine precision.
-func TridiagEigBisect(diag, sub []float64, lo, hi int) ([]float64, error) {
-	return TridiagEigBisectContext(context.Background(), diag, sub, lo, hi)
-}
-
-// TridiagEigBisectContext is TridiagEigBisect with its per-eigenvalue
-// probe events attributed to ctx's telemetry scope.
+// machine precision. ctx is checked before each eigenvalue, and the
+// per-eigenvalue probe events are attributed to its telemetry scope.
 func TridiagEigBisectContext(ctx context.Context, diag, sub []float64, lo, hi int) ([]float64, error) {
 	n := len(diag)
 	if len(sub) != n-1 && !(n == 0 && len(sub) == 0) {
-		return nil, errors.New("linalg: TridiagEigBisect: len(sub) must be len(diag)-1")
+		return nil, errors.New("linalg: TridiagEigBisectContext: len(sub) must be len(diag)-1")
 	}
 	if lo < 0 || hi >= n || lo > hi {
-		return nil, errors.New("linalg: TridiagEigBisect: index range out of bounds")
+		return nil, errors.New("linalg: TridiagEigBisectContext: index range out of bounds")
 	}
 	// A NaN/Inf entry would silently corrupt the Sturm counts (NaN
 	// comparisons are all false), so reject contaminated input up front.
-	if err := CheckFinite("TridiagEigBisect diag input", diag); err != nil {
+	if err := CheckFinite("TridiagEigBisectContext diag input", diag); err != nil {
 		return nil, err
 	}
-	if err := CheckFinite("TridiagEigBisect sub input", sub); err != nil {
+	if err := CheckFinite("TridiagEigBisectContext sub input", sub); err != nil {
 		return nil, err
 	}
 
@@ -103,6 +98,9 @@ func TridiagEigBisectContext(ctx context.Context, diag, sub []float64, lo, hi in
 
 	out := make([]float64, 0, hi-lo+1)
 	for idx := lo; idx <= hi; idx++ {
+		if err := ctxErr(ctx, "bisection"); err != nil {
+			return nil, err
+		}
 		a, b := gLo, gHi
 		iters := 0
 		// Invariant: count(a) ≤ idx < count(b).
@@ -136,18 +134,19 @@ func TridiagEigBisectContext(ctx context.Context, diag, sub []float64, lo, hi in
 // SymEigBisect computes eigenvalues lo..hi of a dense symmetric matrix by
 // Householder tridiagonalization followed by Sturm bisection. Cross-check
 // companion to SymEig.
-func SymEigBisect(a *Dense, lo, hi int) ([]float64, error) {
+func SymEigBisect(ctx context.Context, a *Dense, lo, hi int) ([]float64, error) {
 	n := a.N
 	if n == 0 {
 		return nil, nil
 	}
 	work := a.Clone()
 	rows := make([][]float64, n)
+	//lint:ignore ctx-loop O(n) row slicing; the bisection below checks ctx before each eigenvalue
 	for i := range rows {
 		rows[i] = work.Row(i)
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
 	tred2(rows, d, e, false)
-	return TridiagEigBisect(d, e[1:], lo, hi)
+	return TridiagEigBisectContext(ctx, d, e[1:], lo, hi)
 }

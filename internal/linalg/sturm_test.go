@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +24,7 @@ func TestTridiagEigBisectMatchesQL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := TridiagEigBisect(diag, sub, 0, n-1)
+		got, err := TridiagEigBisectContext(context.Background(), diag, sub, 0, n-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +45,7 @@ func TestTridiagEigBisectSubrange(t *testing.T) {
 		sub[i] = -1
 	}
 	// Path-like Toeplitz: eigenvalues 2 − 2cos(πj/(n+1)), j=1..n.
-	all, err := TridiagEigBisect(diag, sub, 0, n-1)
+	all, err := TridiagEigBisectContext(context.Background(), diag, sub, 0, n-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestTridiagEigBisectSubrange(t *testing.T) {
 		}
 	}
 	// Interior slice only.
-	mid, err := TridiagEigBisect(diag, sub, 10, 12)
+	mid, err := TridiagEigBisectContext(context.Background(), diag, sub, 10, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestTridiagEigBisectRepeatedEigenvalues(t *testing.T) {
 	// Diagonal matrix with repeats: bisection must count multiplicity.
 	diag := []float64{1, 3, 3, 3, 7}
 	sub := []float64{0, 0, 0, 0}
-	got, err := TridiagEigBisect(diag, sub, 0, 4)
+	got, err := TridiagEigBisectContext(context.Background(), diag, sub, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +82,13 @@ func TestTridiagEigBisectRepeatedEigenvalues(t *testing.T) {
 }
 
 func TestTridiagEigBisectValidation(t *testing.T) {
-	if _, err := TridiagEigBisect([]float64{1, 2}, []float64{}, 0, 1); err == nil {
+	if _, err := TridiagEigBisectContext(context.Background(), []float64{1, 2}, []float64{}, 0, 1); err == nil {
 		t.Error("bad sub length accepted")
 	}
-	if _, err := TridiagEigBisect([]float64{1, 2}, []float64{0}, 1, 0); err == nil {
+	if _, err := TridiagEigBisectContext(context.Background(), []float64{1, 2}, []float64{0}, 1, 0); err == nil {
 		t.Error("lo > hi accepted")
 	}
-	if _, err := TridiagEigBisect([]float64{1, 2}, []float64{0}, 0, 5); err == nil {
+	if _, err := TridiagEigBisectContext(context.Background(), []float64{1, 2}, []float64{0}, 0, 5); err == nil {
 		t.Error("hi out of range accepted")
 	}
 }
@@ -101,7 +103,7 @@ func TestSymEigBisectMatchesSymEig(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := 1 + rng.Intn(n)
-		got, err := SymEigBisect(a, 0, h-1)
+		got, err := SymEigBisect(context.Background(), a, 0, h-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +111,12 @@ func TestSymEigBisectMatchesSymEig(t *testing.T) {
 			t.Errorf("trial %d: bisect differs from QL by %g", trial, d)
 		}
 	}
-	if out, err := SymEigBisect(NewDense(0), 0, 0); err != nil || out != nil {
+	if out, err := SymEigBisect(context.Background(), NewDense(0), 0, 0); err != nil || out != nil {
 		t.Error("empty matrix should return nil, nil")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SymEigBisect(ctx, randomSymmetric(rng, 8), 0, 3); !errors.Is(err, context.Canceled) {
+		t.Errorf("SymEigBisect under a cancelled ctx = %v, want context.Canceled", err)
 	}
 }

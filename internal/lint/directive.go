@@ -94,11 +94,10 @@ func applyDirectives(p *Package, raw []Diagnostic, active, catalog map[string]bo
 	for _, dir := range dirs {
 		if !dir.used {
 			out = append(out, Diagnostic{
-				Rule:     UnusedSuppRule,
-				Severity: SeverityError,
-				File:     dir.file,
-				Line:     dir.line,
-				Col:      dir.col,
+				Rule: UnusedSuppRule,
+				File: dir.file,
+				Line: dir.line,
+				Col:  dir.col,
 				Message: "//lint:ignore " + dir.rule +
 					" suppresses nothing — remove it or fix the directive",
 			})
@@ -108,7 +107,7 @@ func applyDirectives(p *Package, raw []Diagnostic, active, catalog map[string]bo
 }
 
 func metaDiag(pos token.Position, rule, msg string) Diagnostic {
-	return Diagnostic{Rule: rule, Severity: SeverityError, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
+	return Diagnostic{Rule: rule, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
 }
 
 // directiveTarget decides which source line a directive governs: its own

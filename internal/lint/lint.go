@@ -26,46 +26,18 @@ type Rule interface {
 // placed above it matches.
 type Reporter func(pos token.Pos, format string, args ...any)
 
-// Severity tiers. Error findings fail the lint gate; warn findings are
-// advisory, letting new rules land warn-first and graduate once their
-// existing findings are fixed.
-const (
-	SeverityError = "error"
-	SeverityWarn  = "warn"
-)
-
-// Severitied is the optional interface a Rule implements to downgrade its
-// findings; rules without it report at the error tier.
-type Severitied interface {
-	Severity() string
-}
-
-// Diagnostic is one finding, positioned and attributed to a rule.
+// Diagnostic is one finding, positioned and attributed to a rule. Every
+// finding fails the lint gate.
 type Diagnostic struct {
-	Rule     string `json:"rule"`
-	Severity string `json:"severity"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Rule    string `json:"rule"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Message string `json:"message"`
 }
 
 func (d Diagnostic) String() string {
-	if d.Severity == SeverityWarn {
-		return fmt.Sprintf("%s:%d:%d: warning: %s (%s)", d.File, d.Line, d.Col, d.Message, d.Rule)
-	}
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.File, d.Line, d.Col, d.Message, d.Rule)
-}
-
-// CountErrors returns how many diagnostics are at the error tier.
-func CountErrors(ds []Diagnostic) int {
-	n := 0
-	for _, d := range ds {
-		if d.Severity != SeverityWarn {
-			n++
-		}
-	}
-	return n
 }
 
 // Names of the two meta rules the runner itself emits. They cannot be
@@ -145,19 +117,14 @@ func (r *Runner) RunPackage(p *Package) []Diagnostic {
 	for _, rule := range r.Rules {
 		rule := rule
 		known[rule.Name()] = true
-		sev := SeverityError
-		if s, ok := rule.(Severitied); ok && s.Severity() != "" {
-			sev = s.Severity()
-		}
 		report := func(pos token.Pos, format string, args ...any) {
 			position := p.Fset.Position(pos)
 			raw = append(raw, Diagnostic{
-				Rule:     rule.Name(),
-				Severity: sev,
-				File:     position.Filename,
-				Line:     position.Line,
-				Col:      position.Column,
-				Message:  fmt.Sprintf(format, args...),
+				Rule:    rule.Name(),
+				File:    position.Filename,
+				Line:    position.Line,
+				Col:     position.Column,
+				Message: fmt.Sprintf(format, args...),
 			})
 		}
 		rule.Check(p, report)

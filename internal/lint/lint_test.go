@@ -149,11 +149,7 @@ func TestRuleFixtures(t *testing.T) {
 			Families: []string{"metricname.family."},
 		}}},
 		{"errcheck", []Rule{NewErrCheck()}},
-		{"scopedobs", []Rule{&ScopedObs{
-			ObsPath:       "fix/obs",
-			Instrumented:  []string{"fix/scopedobs"},
-			DefaultExempt: []string{"fix/obs"},
-		}}},
+		{"scopedobs", []Rule{&ScopedObs{ObsPath: "fix/obs"}}},
 		{"ctxflow", []Rule{NewCtxFlow()}},
 		{"goroutinejoin", []Rule{NewGoroutineJoin()}},
 		{"lockblocking", []Rule{NewLockBlocking()}},

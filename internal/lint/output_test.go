@@ -12,9 +12,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func sampleDiagnostics() []Diagnostic {
 	return []Diagnostic{
-		{Rule: "ctx-flow", Severity: SeverityError, File: "/mod/internal/a/a.go", Line: 10, Col: 2,
+		{Rule: "ctx-flow", File: "/mod/internal/a/a.go", Line: 10, Col: 2,
 			Message: "run has a context in scope but calls step without forwarding it"},
-		{Rule: "lock-blocking", Severity: SeverityWarn, File: "/mod/internal/b/b.go", Line: 42, Col: 5,
+		{Rule: "lock-blocking", File: "/mod/internal/b/b.go", Line: 42, Col: 5,
 			Message: "flush may block while holding s.mu (locked at line 40): calls Sleep (time.Sleep)"},
 	}
 }
@@ -57,17 +57,5 @@ func TestCatalogInfoAppendsMetaRules(t *testing.T) {
 	}
 	if infos[0].Name != "ctx-flow" || infos[1].Name != DirectiveRule || infos[2].Name != UnusedSuppRule {
 		t.Errorf("catalog order = %v", infos)
-	}
-}
-
-// TestSeverityTiers: warn findings do not count toward the gate and render
-// with the warning prefix.
-func TestSeverityTiers(t *testing.T) {
-	ds := sampleDiagnostics()
-	if n := CountErrors(ds); n != 1 {
-		t.Errorf("CountErrors = %d, want 1 (the warn finding is advisory)", n)
-	}
-	if s := ds[1].String(); !bytes.Contains([]byte(s), []byte("warning:")) {
-		t.Errorf("warn diagnostic %q lacks the warning prefix", s)
 	}
 }

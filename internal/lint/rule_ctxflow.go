@@ -5,14 +5,10 @@ package lint
 // cancellation chain the rest of the repo relies on. Separately,
 // context.Background() and context.TODO() outside package main and tests
 // are findings: a library function that mints its own root context is
-// exactly a dropped ctx in disguise. Compat wrappers of the repo's
-// Foo/FooContext convention (a non-ctx function whose body delegates to
-// its own Context variant with a fresh Background) are exempt — they exist
-// to mint the root for callers that have none.
+// exactly a dropped ctx in disguise.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -86,8 +82,7 @@ func edgeCalleeName(e *CallEdge) string {
 }
 
 // checkRoots flags context.Background()/TODO() in library code. Package
-// main and test files may mint roots; so may the Foo -> FooContext compat
-// wrappers, where the Background call is an argument of the delegated call.
+// main and test files may mint roots.
 func (r *CtxFlow) checkRoots(p *Package, report Reporter) {
 	if p.Types != nil && p.Types.Name() == "main" {
 		return
@@ -107,59 +102,8 @@ func (r *CtxFlow) checkRoots(p *Package, report Reporter) {
 			if isTestPos(p, pos) {
 				return true
 			}
-			if isCompatWrapper(p, f, pos) {
-				return true
-			}
 			report(pos, "context.%s() in library code severs the cancellation chain; thread a ctx from the caller instead", name)
 			return true
 		})
 	}
-}
-
-// isCompatWrapper reports whether the function declaration enclosing pos
-// is a Foo -> FooContext compat wrapper: it does not itself accept a ctx
-// and its body is a single statement delegating to <name>Context.
-// Declarations never nest in Go, so the file-level decl containing pos is
-// the enclosing function.
-func isCompatWrapper(p *Package, f *ast.File, pos token.Pos) bool {
-	var encl *ast.FuncDecl
-	for _, d := range f.Decls {
-		if fdecl, ok := d.(*ast.FuncDecl); ok && fdecl.Pos() <= pos && pos <= fdecl.End() {
-			encl = fdecl
-			break
-		}
-	}
-	if encl == nil {
-		return false
-	}
-	if funcTypeAcceptsCtx(p, encl.Type) {
-		return false
-	}
-	if encl.Body == nil || len(encl.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch st := encl.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(st.Results) == 1 {
-			call, _ = unparen(st.Results[0]).(*ast.CallExpr)
-		}
-	case *ast.ExprStmt:
-		call, _ = unparen(st.X).(*ast.CallExpr)
-	}
-	if call == nil {
-		return false
-	}
-	name := calleeIdentName(call.Fun)
-	return name == encl.Name.Name+"Context"
-}
-
-func calleeIdentName(e ast.Expr) string {
-	switch f := unparen(e).(type) {
-	case *ast.Ident:
-		return f.Name
-	case *ast.SelectorExpr:
-		return f.Sel.Name
-	}
-	return ""
 }

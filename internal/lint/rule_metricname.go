@@ -63,12 +63,12 @@ func (*MetricName) Doc() string {
 }
 
 // metricFuncs are the obs entry points that take a metric name, mapped to
-// the argument index the name sits at: 0 for the classic helpers and the
-// Registry/Scope methods, 1 for the context-scoped variants whose first
-// argument is the ctx. Span and log names (StartSpan, Logf) are free-form
-// and excluded. Probe names share the namespace — obsreport convergence
-// groups events by probe — so obs.Probe is included; ProbeRef.Iter and
-// IterCtx are not, their leading arguments being ctx/iteration numbers.
+// the argument index the name sits at: 0 for the Registry/Scope methods,
+// 1 for the context-scoped helpers whose first argument is the ctx. Span
+// and log names (StartSpanCtx, LogCtx) are free-form and excluded. Probe
+// names share the namespace — obsreport convergence groups events by
+// probe — so obs.Probe is included; ProbeRef.IterCtx is not, its leading
+// arguments being a ctx and an iteration number.
 var metricFuncs = map[string]int{
 	"Add": 0, "Inc": 0, "Counter": 0,
 	"SetGauge": 0, "Gauge": 0,

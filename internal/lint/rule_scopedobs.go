@@ -4,74 +4,35 @@ import (
 	"go/ast"
 )
 
-// ScopedObs keeps per-task telemetry attribution sound: inside the
-// instrumented solver and harness packages, every metric, span, probe
-// event, and log line must flow through the context-scope-aware obs
-// helpers (AddCtx, IncCtx, StartSpanCtx, IterCtx, LogCtx, ...) or a Scope
-// method, never the bare package helpers that only hit the process-wide
-// default registry. Otherwise a sweep's per-experiment sections silently
-// undercount while the totals stay right — the worst kind of telemetry
-// bug, one no test of the totals catches. obs.Default() is likewise
-// restricted to the obs package itself and CLI wiring; library code
-// holding the raw default registry cannot be re-scoped later.
+// ScopedObs keeps per-task telemetry attribution sound. obs exports no
+// unscoped emitter: every metric, span, probe event and log line goes
+// through a Scope method or a ctx-aware helper (AddCtx, StartSpanCtx,
+// IterCtx, LogCtx, ...), and a nil *Scope stands for the process itself.
+// The one way left around attribution is obs.Default(), the raw
+// process-wide registry; library code holding it can never be re-scoped,
+// so only the obs package itself and package main may call it.
 // _test.go files are exempt everywhere: tests may pin the registry they
 // assert against.
 type ScopedObs struct {
 	// ObsPath is the import path of the telemetry package.
 	ObsPath string
-	// Instrumented lists the import paths (subtrees included) whose
-	// non-test code must emit via ctx-scope-aware helpers.
-	Instrumented []string
-	// DefaultExempt lists the import paths (subtrees included) allowed to
-	// call obs.Default() directly.
-	DefaultExempt []string
 }
 
-// NewScopedObs returns the rule bound to graphio's instrumented layers.
-// faultinject is deliberately not instrumented: its fault counters are
-// process-level by design and stay on the bare helpers.
+// NewScopedObs returns the rule bound to graphio's obs package.
 func NewScopedObs() *ScopedObs {
-	return &ScopedObs{
-		ObsPath: "graphio/internal/obs",
-		Instrumented: []string{
-			"graphio/internal/core",
-			"graphio/internal/linalg",
-			"graphio/internal/maxflow",
-			"graphio/internal/mincut",
-			"graphio/internal/pebble",
-			"graphio/internal/redblue",
-			"graphio/internal/experiments",
-			"graphio/internal/graphiod",
-		},
-		DefaultExempt: []string{
-			"graphio/internal/obs",
-			"graphio/cmd",
-		},
-	}
+	return &ScopedObs{ObsPath: "graphio/internal/obs"}
 }
 
 func (*ScopedObs) Name() string { return "scoped-obs" }
 
 func (*ScopedObs) Doc() string {
-	return "instrumented packages emit telemetry via ctx-scope-aware obs helpers so per-task attribution stays sound"
-}
-
-// scopedAlt maps each banned package-level helper to its scope-aware
-// replacement.
-var scopedAlt = map[string]string{
-	"Add": "AddCtx", "Inc": "IncCtx", "SetGauge": "SetGaugeCtx",
-	"Observe": "ObserveCtx", "Time": "TimeCtx",
-	"ObserveHist": "ObserveHistCtx", "ObserveHistDuration": "ObserveHistDurationCtx",
-	"TimeHist":  "TimeHistCtx",
-	"StartSpan": "StartSpanCtx", "Logf": "LogCtx",
+	return "only the obs package and package main may take obs.Default(), so per-task attribution stays sound"
 }
 
 // Check implements Rule.
 func (r *ScopedObs) Check(p *Package, report Reporter) {
-	instrumented := pathExempt(p.Path, r.Instrumented)
-	defaultOK := pathExempt(p.Path, r.DefaultExempt)
-	if !instrumented && defaultOK {
-		return // nothing this rule could flag
+	if p.Path == r.ObsPath || (p.Types != nil && p.Types.Name() == "main") {
+		return
 	}
 	for _, f := range p.Files {
 		if isTestPos(p, f.Pos()) {
@@ -87,29 +48,10 @@ func (r *ScopedObs) Check(p *Package, report Reporter) {
 				return true
 			}
 			obj := p.Info.Uses[sel.Sel]
-			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != r.ObsPath {
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != r.ObsPath || obj.Name() != "Default" {
 				return true
 			}
-			name := obj.Name()
-			if name == "Default" && !defaultOK {
-				report(call.Pos(), "obs.Default() outside internal/obs and CLI wiring; emit through the ctx-scope-aware helpers (or take a *obs.Scope) so the call site stays attributable")
-				return true
-			}
-			if !instrumented {
-				return true
-			}
-			if _, isMethod := p.Info.Selections[sel]; isMethod {
-				// Scope and Registry methods already name their destination;
-				// the one method that loses attribution is the probe handle's
-				// scopeless Iter.
-				if name == "Iter" {
-					report(call.Pos(), "ProbeRef.Iter in an instrumented package loses scope attribution; use IterCtx with the request context")
-				}
-				return true
-			}
-			if alt, banned := scopedAlt[name]; banned {
-				report(call.Pos(), "obs.%s in an instrumented package bypasses scope attribution; use obs.%s with the request context", name, alt)
-			}
+			report(call.Pos(), "obs.Default() outside the obs package and package main; emit through a *obs.Scope or the ctx-aware helpers so the call site stays attributable")
 			return true
 		})
 	}

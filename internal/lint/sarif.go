@@ -91,8 +91,8 @@ func CatalogInfo(rules []Rule) []RuleInfo {
 }
 
 // WriteSARIF renders diagnostics as a single-run SARIF 2.1.0 log. File
-// paths are made module-root-relative (URI-friendly) via root; severity
-// maps error->"error", warn->"warning".
+// paths are made module-root-relative (URI-friendly) via root; every
+// result is at level "error", since every finding fails the gate.
 func WriteSARIF(w io.Writer, root string, catalog []RuleInfo, ds []Diagnostic) error {
 	rules := make([]sarifRule, 0, len(catalog))
 	for _, ri := range catalog {
@@ -100,13 +100,9 @@ func WriteSARIF(w io.Writer, root string, catalog []RuleInfo, ds []Diagnostic) e
 	}
 	results := make([]sarifResult, 0, len(ds))
 	for _, d := range ds {
-		level := "error"
-		if d.Severity == SeverityWarn {
-			level = "warning"
-		}
 		results = append(results, sarifResult{
 			RuleID:  d.Rule,
-			Level:   level,
+			Level:   "error",
 			Message: sarifText{Text: d.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
 				ArtifactLocation: sarifArtifact{URI: relPath(root, d.File)},

@@ -1,5 +1,4 @@
-// Fixture for the ctx-flow rule: forwarding misses, library-code roots,
-// and the compat-wrapper exemption.
+// Fixture for the ctx-flow rule: forwarding misses and library-code roots.
 package ctxflow
 
 import "context"
@@ -34,17 +33,10 @@ func literalDrops(ctx context.Context) func() {
 	}
 }
 
-// RunContext/Run follow the repo's compat-wrapper convention: Run may mint
-// the root because its one statement delegates to RunContext.
 func RunContext(ctx context.Context, n int) error { return worker(ctx) }
 
-// Run is the exempt compat wrapper.
+// Run is a ctx-less twin of RunContext: minting the root for its callee
+// is a finding like any other, so callers must hold and pass a ctx.
 func Run(n int) error {
-	return RunContext(context.Background(), n)
-}
-
-// notAWrapper mints a root and does other work too: not exempt.
-func notAWrapper(n int) error {
-	n++
 	return RunContext(context.Background(), n) // want `context\.Background\(\) in library code severs the cancellation chain`
 }

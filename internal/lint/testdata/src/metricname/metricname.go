@@ -11,39 +11,37 @@ import (
 
 const prefix = "metricname."
 
-func Use(name string, reg *obs.Registry) {
+func Use(name string, reg *obs.Registry, sc *obs.Scope) {
 	UseCtx(context.Background(), name)
-	obs.Inc("metricname.good.total")
-	obs.Inc("core." + "folded") // constant expressions fold: clean
-	obs.Inc(prefix + "hits")    // named constants fold too: clean
+	sc.Inc("metricname.good.total")
+	sc.Inc("core." + "folded") // constant expressions fold: clean
+	sc.Inc(prefix + "hits")    // named constants fold too: clean
 
-	obs.Inc("BadName")     // want `metric name "BadName" does not match the pkg.name_unit convention`
-	obs.Inc("x.")          // want `metric name "x." does not match the pkg.name_unit convention`
-	obs.Inc(name)          // want `obs.Inc metric name must be a compile-time string constant`
-	obs.Observe(name, 1.0) // want `obs.Observe metric name must be a compile-time string constant`
+	sc.Inc("BadName")     // want `metric name "BadName" does not match the pkg.name_unit convention`
+	sc.Inc("x.")          // want `metric name "x." does not match the pkg.name_unit convention`
+	sc.Inc(name)          // want `obs.Inc metric name must be a compile-time string constant`
+	sc.Observe(name, 1.0) // want `obs.Observe metric name must be a compile-time string constant`
 
 	obs.Default().Observe("metricname.latency_ns", 1.0)
 	obs.Default().Inc("Bad Name") // want `metric name "Bad Name" does not match the pkg.name_unit convention`
 	reg.Inc(name)                 // want `obs.Inc metric name must be a compile-time string constant`
 
-	obs.Probe("metricname.sweep_probe").Iter(7) // probe names share the convention; Iter's int is clean
-	obs.Probe("linalg." + "lanczos")            // constant expressions fold: clean
+	obs.Probe("metricname.sweep_probe") // probe names share the convention: clean
+	obs.Probe("linalg." + "lanczos")    // constant expressions fold: clean
 
 	obs.Probe("NotAProbe") // want `metric name "NotAProbe" does not match the pkg.name_unit convention`
 	obs.Probe(name)        // want `obs.Probe metric name must be a compile-time string constant`
-
-	obs.StartSpan(name) // span names are free-form: clean
 }
 
 // UseFamily covers the bounded-family carve-out: a dynamic suffix under a
 // declared family prefix is clean; anything else dynamic is not.
-func UseFamily(kind string, reg *obs.Registry) {
-	obs.Inc("metricname.family." + kind)       // declared family: clean
-	reg.Inc("metricname.family." + kind)       // methods get the carve-out too: clean
-	obs.Inc("metricname.other." + kind)        // want `obs.Inc metric name must be a compile-time string constant`
-	obs.Inc("metricname.family" + kind)        // want `obs.Inc metric name must be a compile-time string constant`
-	obs.Inc(kind + "metricname.family.")       // want `obs.Inc metric name must be a compile-time string constant`
-	obs.Inc("metricname.family." + kind + "x") // left-leaning fold still finds the family: clean
+func UseFamily(kind string, reg *obs.Registry, sc *obs.Scope) {
+	sc.Inc("metricname.family." + kind)       // declared family: clean
+	reg.Inc("metricname.family." + kind)      // the Registry gets the carve-out too: clean
+	sc.Inc("metricname.other." + kind)        // want `obs.Inc metric name must be a compile-time string constant`
+	sc.Inc("metricname.family" + kind)        // want `obs.Inc metric name must be a compile-time string constant`
+	sc.Inc(kind + "metricname.family.")       // want `obs.Inc metric name must be a compile-time string constant`
+	sc.Inc("metricname.family." + kind + "x") // left-leaning fold still finds the family: clean
 }
 
 // UseCtx covers the context-scoped variants: the metric name moves to

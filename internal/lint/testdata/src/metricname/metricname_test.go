@@ -4,5 +4,5 @@ import "fix/obs"
 
 // _test.go files are exempt: tests may register throwaway metric names.
 func emit(name string) {
-	obs.Inc(name)
+	obs.Default().Inc(name)
 }

@@ -13,35 +13,28 @@ var def Registry
 
 func Default() *Registry { return &def }
 
-func Add(name string, v int64)       {}
-func Inc(name string)                {}
-func Observe(name string, v float64) {}
-
 func AddCtx(ctx context.Context, name string, v int64)       {}
 func IncCtx(ctx context.Context, name string)                {}
 func ObserveCtx(ctx context.Context, name string, v float64) {}
 
-// StartSpan's name is free-form: not a metric entry point.
-func StartSpan(name string) {}
-
+// StartSpanCtx's name is free-form: not a metric entry point.
 func StartSpanCtx(ctx context.Context, name string) {}
 
-func Logf(format string, args ...any)                        {}
 func LogCtx(ctx context.Context, format string, args ...any) {}
 
 // Scope mirrors the per-task telemetry scope; its emission methods are
-// scope-aware by construction.
+// scope-aware by construction, and a nil *Scope is the process itself.
 type Scope struct{}
 
 func (*Scope) Inc(name string)                            {}
+func (*Scope) Observe(name string, v float64)             {}
 func (*Scope) ObserveHistDuration(name string, dns int64) {}
 
-// ProbeRef mirrors the solver event-probe handle. Iter's first argument is
-// an iteration number, not a metric name, so Iter is deliberately NOT a
-// metric entry point; IterCtx leads with a context.
+// ProbeRef mirrors the solver event-probe handle. IterCtx's leading
+// arguments are a context and an iteration number, not a metric name, so
+// IterCtx is deliberately NOT a metric entry point.
 type ProbeRef struct{}
 
 func Probe(name string) ProbeRef { return ProbeRef{} }
 
-func (ProbeRef) Iter(iter int64)                         {}
 func (ProbeRef) IterCtx(ctx context.Context, iter int64) {}

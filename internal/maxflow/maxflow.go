@@ -15,7 +15,7 @@ import (
 const Inf int64 = math.MaxInt64 / 4
 
 // Network is a flow network under construction and solution. Vertices are
-// dense integers; add edges, then call MaxFlow once.
+// dense integers; add edges, then call MaxFlowContext once.
 type Network struct {
 	n     int
 	head  []int32 // head[v]: first arc index of v, -1 if none
@@ -105,15 +105,11 @@ func (f *Network) dfs(v int32, t int32, pushed int64) int64 {
 	return 0
 }
 
-// MaxFlow computes the maximum s-t flow. The network's residual capacities
-// are mutated; call MinCutSide afterwards to read the cut.
-func (f *Network) MaxFlow(s, t int) (int64, error) {
-	return f.MaxFlowContext(context.Background(), s, t)
-}
-
-// MaxFlowContext is MaxFlow with its per-phase probe events attributed to
-// ctx's telemetry scope. Dinic phases are too short to warrant
-// cancellation checks; the context exists purely for attribution.
+// MaxFlowContext computes the maximum s-t flow. The network's residual
+// capacities are mutated; call MinCutSide afterwards to read the cut. Its
+// per-phase probe events are attributed to ctx's telemetry scope. Dinic
+// phases are too short to warrant cancellation checks; the context exists
+// purely for attribution.
 func (f *Network) MaxFlowContext(ctx context.Context, s, t int) (int64, error) {
 	if s < 0 || s >= f.n || t < 0 || t >= f.n {
 		return 0, errors.New("maxflow: source or sink out of range")
@@ -150,7 +146,7 @@ func (f *Network) MaxFlowContext(ctx context.Context, s, t int) (int64, error) {
 	return total, nil
 }
 
-// MinCutSide returns, after MaxFlow, the source side of a minimum cut: the
+// MinCutSide returns, after MaxFlowContext, the source side of a minimum cut: the
 // vertices reachable from s in the residual network.
 func (f *Network) MinCutSide(s int) []bool {
 	side := make([]bool, f.n)

@@ -1,6 +1,7 @@
 package maxflow
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -15,7 +16,7 @@ func mustEdge(t *testing.T, f *Network, u, v int, c int64) {
 func TestSingleEdge(t *testing.T) {
 	f := NewNetwork(2)
 	mustEdge(t, f, 0, 1, 7)
-	flow, err := f.MaxFlow(0, 1)
+	flow, err := f.MaxFlowContext(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestClassicNetwork(t *testing.T) {
 	mustEdge(t, f, v3, tt, 20)
 	mustEdge(t, f, v4, v3, 7)
 	mustEdge(t, f, v4, tt, 4)
-	flow, err := f.MaxFlow(s, tt)
+	flow, err := f.MaxFlowContext(context.Background(), s, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestDisconnected(t *testing.T) {
 	f := NewNetwork(4)
 	mustEdge(t, f, 0, 1, 5)
 	mustEdge(t, f, 2, 3, 5)
-	flow, err := f.MaxFlow(0, 3)
+	flow, err := f.MaxFlowContext(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestParallelPaths(t *testing.T) {
 	mustEdge(t, f, 0, 2, 5)
 	mustEdge(t, f, 1, 3, 4)
 	mustEdge(t, f, 2, 3, 2)
-	flow, err := f.MaxFlow(0, 3)
+	flow, err := f.MaxFlowContext(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestErrors(t *testing.T) {
 	if err := f.AddEdge(0, 1, -1); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := f.MaxFlow(0, 0); err == nil {
+	if _, err := f.MaxFlowContext(context.Background(), 0, 0); err == nil {
 		t.Error("s == t accepted")
 	}
-	if _, err := f.MaxFlow(0, 9); err == nil {
+	if _, err := f.MaxFlowContext(context.Background(), 0, 9); err == nil {
 		t.Error("sink out of range accepted")
 	}
 }
@@ -131,7 +132,7 @@ func TestMaxFlowEqualsBruteMinCut(t *testing.T) {
 		for _, e := range edges {
 			mustEdge(t, f, int(e[0]), int(e[1]), e[2])
 		}
-		flow, err := f.MaxFlow(0, n-1)
+		flow, err := f.MaxFlowContext(context.Background(), 0, n-1)
 		if err != nil {
 			t.Fatal(err)
 		}

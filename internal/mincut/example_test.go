@@ -1,18 +1,19 @@
 package mincut_test
 
 import (
+	"context"
 	"fmt"
 
 	"graphio/internal/gen"
 	"graphio/internal/mincut"
 )
 
-// ExampleConvexMinCutBound runs the baseline on a 16-point FFT with two
+// ExampleConvexMinCutBoundContext runs the baseline on a 16-point FFT with two
 // fast-memory slots: the best vertex's convex cut certifies unavoidable
 // traffic around the butterfly's waist.
-func ExampleConvexMinCutBound() {
+func ExampleConvexMinCutBoundContext() {
 	g := gen.FFT(4)
-	res, err := mincut.ConvexMinCutBound(g, mincut.Options{M: 2})
+	res, err := mincut.ConvexMinCutBoundContext(context.Background(), g, mincut.Options{M: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -21,12 +22,12 @@ func ExampleConvexMinCutBound() {
 	// J* ≥ 4 (C(v*)=4)
 }
 
-// ExampleConvexCut inspects one vertex: right after the first product of
+// ExampleConvexCutContext inspects one vertex: right after the first product of
 // an inner product fires, only that product needs to be live (its inputs
 // are dead and the second half is untouched).
-func ExampleConvexCut() {
+func ExampleConvexCutContext() {
 	g := gen.InnerProduct(2)
-	cut, err := mincut.ConvexCut(g, 4) // the first product vertex
+	cut, err := mincut.ConvexCutContext(context.Background(), g, 4) // the first product vertex
 	if err != nil {
 		panic(err)
 	}

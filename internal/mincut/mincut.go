@@ -37,7 +37,7 @@ import (
 	"graphio/internal/obs"
 )
 
-// Options configures ConvexMinCutBound.
+// Options configures ConvexMinCutBoundContext.
 type Options struct {
 	// M is the fast-memory size. Required, ≥ 1.
 	M int
@@ -76,15 +76,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// ConvexCut computes C(v, G): the minimum frontier over realizable
+// ConvexCutContext computes C(v, G): the minimum frontier over realizable
 // evaluation prefixes at the moment v fires. It returns 0 when v has no
-// descendants (the prefix can simply be the whole graph).
-func ConvexCut(g *graph.Graph, v int) (int64, error) {
-	return ConvexCutContext(context.Background(), g, v)
-}
-
-// ConvexCutContext is ConvexCut with the underlying max-flow's telemetry
-// attributed to ctx's scope.
+// descendants (the prefix can simply be the whole graph). The underlying
+// max-flow's telemetry is attributed to ctx's scope.
 func ConvexCutContext(ctx context.Context, g *graph.Graph, v int) (int64, error) {
 	n := g.N()
 	if v < 0 || v >= n {
@@ -104,13 +99,13 @@ func ConvexCutContext(ctx context.Context, g *graph.Graph, v int) (int64, error)
 	// Split-node network: u_in = 2u, u_out = 2u+1, s = 2n, t = 2n+1.
 	net := maxflow.NewNetwork(2*n + 2)
 	s, t := 2*n, 2*n+1
-	//lint:ignore ctx-loop O(n+m) network construction; ctx exists for telemetry attribution, cancellation is handled by the sweep around each ConvexCut
+	//lint:ignore ctx-loop O(n+m) network construction; ctx exists for telemetry attribution, cancellation is handled by the sweep around each ConvexCutContext
 	for u := 0; u < n; u++ {
 		if err := net.AddEdge(2*u, 2*u+1, 1); err != nil {
 			return 0, err
 		}
 	}
-	//lint:ignore ctx-loop O(n+m) network construction; ctx exists for telemetry attribution, cancellation is handled by the sweep around each ConvexCut
+	//lint:ignore ctx-loop O(n+m) network construction; ctx exists for telemetry attribution, cancellation is handled by the sweep around each ConvexCutContext
 	for x := 0; x < n; x++ {
 		for _, yi := range g.Succ(x) {
 			y := int(yi)
@@ -126,7 +121,7 @@ func ConvexCutContext(ctx context.Context, g *graph.Graph, v int) (int64, error)
 	if err := net.AddEdge(s, 2*v, maxflow.Inf); err != nil {
 		return 0, err
 	}
-	//lint:ignore ctx-loop O(n) sink wiring; ctx exists for telemetry attribution, cancellation is handled by the sweep around each ConvexCut
+	//lint:ignore ctx-loop O(n) sink wiring; ctx exists for telemetry attribution, cancellation is handled by the sweep around each ConvexCutContext
 	for u, isDesc := range desc {
 		if isDesc {
 			// Wire the *in* node to the sink: a descendant may neither be
@@ -160,19 +155,14 @@ func frontierUpperBound(g *graph.Graph, v int) int64 {
 	return w
 }
 
-// ConvexMinCutBound computes the whole-graph convex min-cut lower bound,
-// maximizing over vertices. Vertices are visited in decreasing order of a
-// cheap frontier upper bound and pruned once that upper bound cannot beat
-// the best cut found, so typical runs evaluate far fewer than n flows while
-// returning the same maximum.
-func ConvexMinCutBound(g *graph.Graph, opt Options) (*Result, error) {
-	return ConvexMinCutBoundContext(context.Background(), g, opt)
-}
-
-// ConvexMinCutBoundContext is ConvexMinCutBound with cancellation: a
-// cancelled or expired context stops the sweep like Options.Timeout does,
-// returning the (valid, possibly weaker) bound over the vertices evaluated
-// so far with Result.Interrupted set rather than an error.
+// ConvexMinCutBoundContext computes the whole-graph convex min-cut lower
+// bound, maximizing over vertices. Vertices are visited in decreasing order
+// of a cheap frontier upper bound and pruned once that upper bound cannot
+// beat the best cut found, so typical runs evaluate far fewer than n flows
+// while returning the same maximum. A cancelled or expired context stops
+// the sweep like Options.Timeout does, returning the (valid, possibly
+// weaker) bound over the vertices evaluated so far with Result.Interrupted
+// set rather than an error.
 func ConvexMinCutBoundContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if opt.M < 1 {
 		return nil, errors.New("mincut: Options.M must be ≥ 1")

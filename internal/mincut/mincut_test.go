@@ -1,6 +1,8 @@
 package mincut
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -86,7 +88,7 @@ func TestConvexCutMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(9), 0.35)
 		for v := 0; v < g.N(); v++ {
-			got, err := ConvexCut(g, v)
+			got, err := ConvexCutContext(context.Background(), g, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +105,7 @@ func TestConvexCutStructuredGraphs(t *testing.T) {
 	// Chain: every prefix frontier is exactly the last vertex.
 	chain := gen.Chain(6)
 	for v := 0; v < 5; v++ {
-		cut, err := ConvexCut(chain, v)
+		cut, err := ConvexCutContext(context.Background(), chain, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +114,7 @@ func TestConvexCutStructuredGraphs(t *testing.T) {
 		}
 	}
 	// Sink: no descendants, no cut.
-	cut, err := ConvexCut(chain, 5)
+	cut, err := ConvexCutContext(context.Background(), chain, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestConvexCutStructuredGraphs(t *testing.T) {
 	// anti-chain staircase; verify against brute force.
 	grid := gen.Grid2D(3, 4)
 	for _, v := range []int{0, 5, 6} {
-		got, err := ConvexCut(grid, v)
+		got, err := ConvexCutContext(context.Background(), grid, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +136,7 @@ func TestConvexCutStructuredGraphs(t *testing.T) {
 }
 
 func TestConvexCutBadVertex(t *testing.T) {
-	if _, err := ConvexCut(gen.Chain(3), 9); err == nil {
+	if _, err := ConvexCutContext(context.Background(), gen.Chain(3), 9); err == nil {
 		t.Error("out-of-range vertex accepted")
 	}
 }
@@ -145,13 +147,13 @@ func TestConvexMinCutBoundMatchesExhaustiveSweep(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g := randomDAG(rng, 4+rng.Intn(10), 0.3)
 		M := 1 + rng.Intn(3)
-		res, err := ConvexMinCutBound(g, Options{M: M})
+		res, err := ConvexMinCutBoundContext(context.Background(), g, Options{M: M})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var bestCut int64
 		for v := 0; v < g.N(); v++ {
-			c, err := ConvexCut(g, v)
+			c, err := ConvexCutContext(context.Background(), g, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +175,7 @@ func TestConvexMinCutBoundMatchesExhaustiveSweep(t *testing.T) {
 func TestConvexMinCutBoundOnFFT(t *testing.T) {
 	// Paper Figure 7: the baseline is nontrivial on the FFT for small M.
 	g := gen.FFT(4)
-	res, err := ConvexMinCutBound(g, Options{M: 2})
+	res, err := ConvexMinCutBoundContext(context.Background(), g, Options{M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +189,11 @@ func TestConvexMinCutBoundOnFFT(t *testing.T) {
 }
 
 func TestConvexMinCutBoundValidation(t *testing.T) {
-	if _, err := ConvexMinCutBound(gen.Chain(3), Options{M: 0}); err == nil {
+	if _, err := ConvexMinCutBoundContext(context.Background(), gen.Chain(3), Options{M: 0}); err == nil {
 		t.Error("M=0 accepted")
 	}
 	empty := graph.NewBuilder(0, 0).MustBuild()
-	res, err := ConvexMinCutBound(empty, Options{M: 2})
+	res, err := ConvexMinCutBoundContext(context.Background(), empty, Options{M: 2})
 	if err != nil || res.Bound != 0 {
 		t.Errorf("empty graph: %+v, %v", res, err)
 	}
@@ -199,7 +201,7 @@ func TestConvexMinCutBoundValidation(t *testing.T) {
 
 func TestConvexMinCutTimeout(t *testing.T) {
 	g := gen.FFT(5)
-	res, err := ConvexMinCutBound(g, Options{M: 2, Timeout: time.Nanosecond})
+	res, err := ConvexMinCutBoundContext(context.Background(), g, Options{M: 2, Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestConvexMinCutTimeout(t *testing.T) {
 
 func TestConvexMinCutMaxVertices(t *testing.T) {
 	g := gen.FFT(3)
-	res, err := ConvexMinCutBound(g, Options{M: 2, MaxVertices: 3})
+	res, err := ConvexMinCutBoundContext(context.Background(), g, Options{M: 2, MaxVertices: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +226,13 @@ func TestConvexMinCutMaxVertices(t *testing.T) {
 
 func TestPartitionedBoundBadParts(t *testing.T) {
 	g := gen.Chain(4)
-	if _, err := PartitionedBound(g, [][]int{{0, 0}}, 2); err == nil {
+	if _, err := PartitionedBound(context.Background(), g, [][]int{{0, 0}}, 2); err == nil {
 		t.Error("duplicated vertex in a part accepted")
 	}
-	if _, err := PartitionedBound(g, [][]int{{9}}, 2); err == nil {
+	if _, err := PartitionedBound(context.Background(), g, [][]int{{9}}, 2); err == nil {
 		t.Error("out-of-range vertex accepted")
 	}
-	res, err := PartitionedBound(g, nil, 2)
+	res, err := PartitionedBound(context.Background(), g, nil, 2)
 	if err != nil || res.Bound != 0 {
 		t.Errorf("empty partition: %+v, %v", res, err)
 	}
@@ -242,12 +244,12 @@ func TestConvexCutSymmetricVertices(t *testing.T) {
 	g := gen.FFT(3)
 	rows := 8
 	for col := 0; col < 3; col++ {
-		want, err := ConvexCut(g, col*rows)
+		want, err := ConvexCutContext(context.Background(), g, col*rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 1; r < rows; r++ {
-			got, err := ConvexCut(g, col*rows+r)
+			got, err := ConvexCutContext(context.Background(), g, col*rows+r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +276,7 @@ func TestPartitionedBound(t *testing.T) {
 		}
 		parts = append(parts, part)
 	}
-	res, err := PartitionedBound(g, parts, 4)
+	res, err := PartitionedBound(context.Background(), g, parts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestPartitionedBound(t *testing.T) {
 	}
 	// Whole-graph variant dominates on complex graphs (the paper's reason
 	// for plotting it): with tiny parts the partitioned bound collapses.
-	whole, err := ConvexMinCutBound(g, Options{M: 4})
+	whole, err := ConvexMinCutBoundContext(context.Background(), g, Options{M: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,20 @@ func TestPartitionedBound(t *testing.T) {
 		t.Logf("note: partitioned %g exceeded whole-graph %g (legal, both are lower bounds)",
 			res.Bound, whole.Bound)
 	}
-	if _, err := PartitionedBound(g, parts, 0); err == nil {
+	if _, err := PartitionedBound(context.Background(), g, parts, 0); err == nil {
 		t.Error("M=0 accepted")
+	}
+}
+
+func TestPartitionedBoundCancelled(t *testing.T) {
+	g := gen.FFT(4)
+	parts := [][]int{}
+	for v := 0; v < g.N(); v += 8 {
+		parts = append(parts, []int{v, v + 1, v + 2, v + 3, v + 4, v + 5, v + 6, v + 7})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := PartitionedBound(ctx, g, parts, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("PartitionedBound under a cancelled ctx = %v, want context.Canceled", err)
 	}
 }

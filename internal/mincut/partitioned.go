@@ -1,7 +1,9 @@
 package mincut
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,8 +22,10 @@ import (
 // graphs because the suggested 2M-vertex parts are too small; it is
 // provided for completeness and for the ablation in the experiment
 // harness. parts must cover disjoint vertex sets (e.g. from
-// partition.RecursiveBisection).
-func PartitionedBound(g *graph.Graph, parts [][]int, M int) (*Result, error) {
+// partition.RecursiveBisection). Each worker checks ctx before its next
+// part; a cancelled or expired context returns its error, since a sum
+// over some of the parts is not the partitioned bound.
+func PartitionedBound(ctx context.Context, g *graph.Graph, parts [][]int, M int) (*Result, error) {
 	if M < 1 {
 		return nil, errors.New("mincut: M must be ≥ 1")
 	}
@@ -48,12 +52,20 @@ func PartitionedBound(g *graph.Graph, parts [][]int, M int) (*Result, error) {
 				if i >= len(parts) {
 					return
 				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = fmt.Errorf("mincut: partitioned bound: %w", err)
+					return
+				}
 				sub, err := g.InducedSubgraph(parts[i])
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				subResults[i], errs[i] = ConvexMinCutBound(sub, Options{M: M, Workers: 1})
+				subRes, err := ConvexMinCutBoundContext(ctx, sub, Options{M: M, Workers: 1})
+				if err == nil && subRes.Interrupted {
+					err = fmt.Errorf("mincut: partitioned bound: %w", ctx.Err())
+				}
+				subResults[i], errs[i] = subRes, err
 			}
 		}()
 	}

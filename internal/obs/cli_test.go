@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -27,7 +28,7 @@ func TestCLIFinishIdempotent(t *testing.T) {
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	Inc("idem.counter")
+	process.Inc("idem.counter")
 	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCLITraceOutWritesPerfettoFile(t *testing.T) {
 	if !TraceEnabled() {
 		t.Fatal("-trace-out should enable the trace collector")
 	}
-	sp := StartSpan("cli.phase")
+	sp := startSpan("cli.phase")
 	sp.Child("inner").End()
 	sp.End()
 	if err := c.Finish(); err != nil {
@@ -109,8 +110,8 @@ func TestCLIEventsOutWritesJournal(t *testing.T) {
 	if !EventsEnabled() {
 		t.Fatal("-events-out should enable the event collector")
 	}
-	Probe("cli.phase").Iter(0, F("resid", 1.5), FI("restart", 1))
-	Probe("cli.phase").Iter(1, F("resid", 0.5), FI("restart", 2))
+	Probe("cli.phase").IterCtx(context.Background(), 0, F("resid", 1.5), FI("restart", 1))
+	Probe("cli.phase").IterCtx(context.Background(), 1, F("resid", 0.5), FI("restart", 2))
 	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +277,10 @@ func cliInterruptChild() {
 		fmt.Println("CHILD_BEGIN_ERROR", err)
 		os.Exit(3)
 	}
-	Inc("child.sweep.counter")
-	sp := StartSpan("child.sweep")
+	process.Inc("child.sweep.counter")
+	sp := startSpan("child.sweep")
 	sp.End()
-	Probe("child.sweep_probe").Iter(0, F("resid", 0.25))
+	Probe("child.sweep_probe").IterCtx(context.Background(), 0, F("resid", 0.25))
 	fmt.Println("CHILD_READY")
 	// The new contract: the signal cancels Context(), the command winds down
 	// on its own, flushes through Finish, and exits 130 itself.

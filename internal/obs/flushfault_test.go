@@ -8,6 +8,7 @@ package obs_test
 // cannot live inside package obs.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,7 +44,7 @@ func TestDumpJSONFaultPreservesPriorDump(t *testing.T) {
 	obs.Enable(true)
 	defer obs.Enable(false)
 	obs.Reset()
-	obs.Inc("flushfault.counter")
+	obs.IncCtx(context.Background(), "flushfault.counter")
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "metrics.json")
@@ -59,7 +60,7 @@ func TestDumpJSONFaultPreservesPriorDump(t *testing.T) {
 	withFaultyFS(t, func(f persist.File) persist.File {
 		return &faultinject.File{F: f, FailOnSync: 1}
 	})
-	obs.Inc("flushfault.counter")
+	obs.IncCtx(context.Background(), "flushfault.counter")
 	if err := obs.DumpJSON(path); err == nil {
 		t.Fatal("DumpJSON succeeded through a failing fsync")
 	}

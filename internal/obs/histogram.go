@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Histograms record value *distributions* where timers record only
@@ -194,30 +193,4 @@ func (r *Registry) Hist(name string) HistStat {
 		return HistStat{}
 	}
 	return h.stat()
-}
-
-// Package-level helpers, gated like the counter/gauge/timer ones.
-
-// ObserveHist folds v into a default-registry histogram when enabled.
-func ObserveHist(name string, v int64) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.ObserveHist(name, v)
-}
-
-// ObserveHistDuration folds a duration (as nanoseconds) into a
-// default-registry histogram when enabled.
-func ObserveHistDuration(name string, d time.Duration) {
-	ObserveHist(name, d.Nanoseconds())
-}
-
-// TimeHist starts a stopwatch whose stop function feeds histogram name.
-// When collection is disabled the returned function is a no-op.
-func TimeHist(name string) func() {
-	if !enabled.Load() {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { defaultR.ObserveHist(name, time.Since(start).Nanoseconds()) }
 }

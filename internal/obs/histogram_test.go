@@ -132,9 +132,9 @@ func TestHistSnapshotOmitsNeverObserved(t *testing.T) {
 func TestHistPackageHelpersGated(t *testing.T) {
 	Reset()
 	Enable(false)
-	ObserveHist("never", 1)
-	ObserveHistDuration("never", time.Second)
-	TimeHist("never")()
+	process.ObserveHist("never", 1)
+	process.ObserveHistDuration("never", time.Second)
+	process.TimeHist("never")()
 	if s := Default().Snapshot(); len(s.Hists) != 0 {
 		t.Errorf("disabled helpers recorded hists: %+v", s.Hists)
 	}
@@ -143,9 +143,9 @@ func TestHistPackageHelpersGated(t *testing.T) {
 		Enable(false)
 		Reset()
 	}()
-	ObserveHist("on", 3)
-	ObserveHistDuration("on_ns", 2*time.Microsecond)
-	stop := TimeHist("timed_ns")
+	process.ObserveHist("on", 3)
+	process.ObserveHistDuration("on_ns", 2*time.Microsecond)
+	stop := process.TimeHist("timed_ns")
 	stop()
 	s := Default().Snapshot()
 	if s.Hists["on"].Count != 1 || s.Hists["on"].Max != 3 {

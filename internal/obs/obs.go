@@ -11,10 +11,14 @@
 // -v / -metrics-out / -trace-out / -debug-addr / -cpuprofile /
 // -memprofile flags (cli.go).
 //
-// Everything is off by default. Every package-level entry point starts with
-// a single atomic load, so instrumented hot paths cost nothing measurable
-// when no flag enabled the layer; the heavier call sites additionally batch
-// their counts locally and report once per solve.
+// Metrics are emitted through a Scope (scope.go) or the ctx-aware helpers
+// that resolve one from a context (AddCtx, IncCtx, ...). A nil *Scope is
+// the process itself: its emission lands in the default registry alone.
+//
+// Everything is off by default. Every emission starts with a single atomic
+// load, so instrumented hot paths cost nothing measurable when no flag
+// enabled the layer; the heavier call sites additionally batch their
+// counts locally and report once per solve.
 package obs
 
 import (
@@ -35,11 +39,16 @@ var (
 	defaultR = NewRegistry()
 )
 
+// process is the nil *Scope: what it emits lands in the default registry
+// alone, attributed to no task. Counts that belong to the process rather
+// than to any unit of work (persist's, the CLI's wall time) go through it.
+var process *Scope
+
 // persist reports its commit/abort/journal events through a hook so it
 // can stay dependency-free; point the hook here so persist.* counters
 // land in the registry alongside everything else (no-ops while disabled).
 func init() {
-	persist.Count = Inc
+	persist.Count = process.Inc
 }
 
 // Enable turns the default registry on or off. Disabled is the zero state.
@@ -48,7 +57,7 @@ func Enable(on bool) { enabled.Store(on) }
 // Enabled reports whether the default registry is collecting.
 func Enabled() bool { return enabled.Load() }
 
-// Default returns the process-wide registry the package-level helpers feed.
+// Default returns the process-wide registry every emission feeds.
 func Default() *Registry { return defaultR }
 
 // Reset clears every metric in the default registry (tests, mainly).
@@ -327,45 +336,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Package-level helpers: one atomic load, then the default registry.
-
-// Add increments a default-registry counter when collection is enabled.
-func Add(name string, delta int64) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.Add(name, delta)
-}
-
-// Inc increments a default-registry counter by one when enabled.
-func Inc(name string) { Add(name, 1) }
-
-// SetGauge records a default-registry gauge when enabled.
-func SetGauge(name string, v float64) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.SetGauge(name, v)
-}
-
-// Observe folds a duration into a default-registry timer when enabled.
-func Observe(name string, d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	defaultR.Observe(name, d)
-}
-
-// Time starts a stopwatch for timer name and returns the function that
-// stops it. When collection is disabled the returned function is a no-op.
-func Time(name string) func() {
-	if !enabled.Load() {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { defaultR.Observe(name, time.Since(start)) }
 }
 
 // Dump is the full -metrics-out payload: the process-wide snapshot with

@@ -82,8 +82,8 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 // TestPackageHelpersConcurrentWhileToggling exercises the global enable
-// gate under concurrent metric traffic — the exact interleaving the race
-// detector needs to certify.
+// gate under concurrent process-level (nil-scope) metric traffic — the
+// exact interleaving the race detector needs to certify.
 func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 	Reset()
 	Enable(true)
@@ -97,10 +97,10 @@ func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				Inc("global")
-				Observe("gdur", time.Microsecond)
-				SetGauge("gg", 1)
-				stop := Time("stopwatch")
+				process.Inc("global")
+				process.Observe("gdur", time.Microsecond)
+				process.SetGauge("gg", 1)
+				stop := process.Time("stopwatch")
 				stop()
 			}
 		}()
@@ -117,7 +117,7 @@ func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 	// recorded totals depend on toggle timing. One guaranteed-enabled
 	// increment checks the registry still works after the churn.
 	Enable(true)
-	Inc("global")
+	process.Inc("global")
 	if got := Default().Counter("global"); got == 0 {
 		t.Error("no global increments recorded")
 	}
@@ -126,10 +126,10 @@ func TestPackageHelpersConcurrentWhileToggling(t *testing.T) {
 func TestDisabledHelpersAreInert(t *testing.T) {
 	Reset()
 	Enable(false)
-	Inc("never")
-	Observe("never", time.Second)
-	SetGauge("never", 1)
-	Time("never")()
+	process.Inc("never")
+	process.Observe("never", time.Second)
+	process.SetGauge("never", 1)
+	process.Time("never")()
 	s := Default().Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Timers) != 0 {
 		t.Errorf("disabled helpers recorded metrics: %+v", s)

@@ -59,19 +59,11 @@ type ProbeRef struct {
 // maxflow.dinic, pebble.simulate.
 func Probe(name string) ProbeRef { return ProbeRef{name: name} }
 
-// Iter records one per-iteration event. With the collector stopped it is
-// a single atomic load and return.
-func (p ProbeRef) Iter(iter int64, fields ...Field) {
-	if !probes.on.Load() {
-		return
-	}
-	recordProbeEvent(nil, p.name, iter, fields)
-}
-
 // IterCtx records one per-iteration event attributed to ctx's scope: the
 // buffered event carries the scope path and correlation ID, WriteEvents
 // renders them, and the scope chain's event counters tick. With no scope
-// on ctx it behaves exactly like Iter.
+// on ctx the event is unattributed. With the collector stopped it is a
+// single atomic load and return.
 func (p ProbeRef) IterCtx(ctx context.Context, iter int64, fields ...Field) {
 	if !probes.on.Load() {
 		return
@@ -178,7 +170,7 @@ func WriteEvents(w io.Writer) error {
 	dropped := probes.dropped
 	probes.mu.Unlock()
 	if dropped > 0 {
-		Logf("events: %d probe events dropped past the %d-event buffer", dropped, maxProbeEvents)
+		logf("events: %d probe events dropped past the %d-event buffer", dropped, maxProbeEvents)
 	}
 	var b strings.Builder
 	for i := range events {

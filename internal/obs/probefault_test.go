@@ -5,6 +5,7 @@ package obs_test
 // crash racing a direct journal write — is tolerated by the read side.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +21,7 @@ func seedEvents(t *testing.T, n int) {
 	obs.ResetEvents()
 	obs.StartEvents()
 	for i := 0; i < n; i++ {
-		obs.Probe("linalg.lanczos").Iter(int64(i), obs.FI("locked", int64(i)))
+		obs.Probe("linalg.lanczos").IterCtx(context.Background(), int64(i), obs.FI("locked", int64(i)))
 	}
 	obs.StopEvents()
 	t.Cleanup(obs.ResetEvents)

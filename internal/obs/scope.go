@@ -22,9 +22,9 @@ import (
 // the process totals that /metrics, -metrics-out and the existing golden
 // tests observe. A nil *Scope is valid everywhere and routes straight to
 // the default registry, which is what FromContext returns on an unscoped
-// context — the ctx-aware package helpers (AddCtx, IncCtx, ...) therefore
-// behave exactly like their global counterparts until someone installs a
-// scope.
+// context — so the ctx-aware package helpers (AddCtx, IncCtx, ...) write
+// the process totals alone until someone installs a scope, and a nil
+// *Scope is how process-level counts are emitted.
 //
 // Like the rest of the package, scope emission is gated on the one global
 // enabled flag: a disabled process pays a single atomic load per call no
@@ -170,7 +170,7 @@ func (s *Scope) Digest() string {
 }
 
 // scope emission: dual-write the scope chain plus the default registry,
-// all behind the same single enabled load as the global helpers.
+// all behind a single enabled load.
 
 // Add increments an attributed counter (and the process total).
 func (s *Scope) Add(name string, delta int64) {
@@ -264,9 +264,8 @@ func FromContext(ctx context.Context) *Scope {
 }
 
 // ctx-aware package helpers: resolve the scope from ctx first, fall back
-// to the default registry (nil scope). These are what the instrumented
-// packages call (lint rule scoped-obs); the unscoped helpers remain for
-// CLI wiring and un-instrumented leaf packages.
+// to the default registry (nil scope). With the Scope methods they are the
+// only way to emit a metric.
 
 // AddCtx increments a counter attributed to ctx's scope.
 func AddCtx(ctx context.Context, name string, delta int64) { FromContext(ctx).Add(name, delta) }

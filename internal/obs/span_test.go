@@ -30,9 +30,9 @@ func TestSpanNilWhenFullyDisabled(t *testing.T) {
 	Reset()
 	Enable(false)
 	SetVerbose(nil)
-	sp := StartSpan("noop")
+	sp := startSpan("noop")
 	if sp != nil {
-		t.Fatal("StartSpan should return nil when obs is fully off")
+		t.Fatal("startSpan should return nil when obs is fully off")
 	}
 	// Every method must be safe on the nil span.
 	sp.SetInt("k", 1)
@@ -55,7 +55,7 @@ func TestSpanRecordsTimerAndFields(t *testing.T) {
 		Reset()
 	}()
 
-	sp := StartSpan("lanczos")
+	sp := startSpan("lanczos")
 	sp.SetInt("restarts", 7)
 	sp.SetFloat("residual", 1e-9)
 	inner := sp.Child("tridiag")
@@ -86,12 +86,12 @@ func TestVerboseOnlySpanLogsWithoutRegistry(t *testing.T) {
 	SetVerbose(&buf)
 	defer SetVerbose(nil)
 
-	sp := StartSpan("phase")
+	sp := startSpan("phase")
 	if sp == nil {
 		t.Fatal("verbose sink alone should activate spans")
 	}
 	sp.End()
-	Logf("event %d", 42)
+	logf("event %d", 42)
 	out := buf.String()
 	if !strings.Contains(out, "phase") || !strings.Contains(out, "event 42") {
 		t.Errorf("verbose output missing lines:\n%s", out)
@@ -103,7 +103,7 @@ func TestVerboseOnlySpanLogsWithoutRegistry(t *testing.T) {
 
 func TestLogfDisabledIsSilent(t *testing.T) {
 	SetVerbose(nil)
-	Logf("should go nowhere %d", 1) // must not panic or block
+	logf("should go nowhere %d", 1) // must not panic or block
 }
 
 func TestCLIBeginFinishWritesMetrics(t *testing.T) {
@@ -121,7 +121,7 @@ func TestCLIBeginFinishWritesMetrics(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("-metrics-out should enable collection")
 	}
-	Inc("some.counter")
+	process.Inc("some.counter")
 	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func WriteTrace(w io.Writer) error {
 	dropped := tracer.dropped
 	tracer.mu.Unlock()
 	if dropped > 0 {
-		Logf("trace: %d spans dropped past the %d-event buffer", dropped, maxTraceEvents)
+		logf("trace: %d spans dropped past the %d-event buffer", dropped, maxTraceEvents)
 	}
 	return writeTraceEvents(w, events)
 }

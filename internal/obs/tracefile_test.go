@@ -96,7 +96,7 @@ func TestTraceCollectsSpans(t *testing.T) {
 		ResetTrace()
 	}()
 
-	sp := StartSpan("root")
+	sp := startSpan("root")
 	if sp == nil {
 		t.Fatal("tracing alone should activate spans")
 	}

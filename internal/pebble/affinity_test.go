@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestBestOrderIncludesAffinity(t *testing.T) {
 	// The reported best can never be worse than the affinity order alone.
 	g := gen.FFT(5)
 	M := 8
-	best, _, _, err := BestOrder(g, M, Belady, 0, 1)
+	best, _, _, err := BestOrderContext(context.Background(), g, M, Belady, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +57,6 @@ func TestBestOrderIncludesAffinity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if best.Total() > res.Total() {
-		t.Errorf("BestOrder %d worse than affinity %d", best.Total(), res.Total())
+		t.Errorf("BestOrderContext %d worse than affinity %d", best.Total(), res.Total())
 	}
 }

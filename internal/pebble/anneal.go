@@ -25,21 +25,17 @@ type AnnealOptions struct {
 	Policy Policy
 }
 
-// Anneal improves an evaluation order by simulated annealing over adjacent
-// transpositions: a random position i is proposed for swapping with i+1,
-// which preserves topological validity exactly when order[i] is not an
-// operand of order[i+1]. Every candidate is re-simulated, so the search is
-// only practical on small and medium graphs; it exists to tighten the
-// upper bounds that sandwich the lower-bound methods. Returns the best
-// order found and its I/O.
-func Anneal(g *graph.Graph, start []int, M int, opt AnnealOptions) ([]int, Result, error) {
-	return AnnealContext(context.Background(), g, start, M, opt)
-}
-
-// AnnealContext is Anneal with cancellation, checked once per proposed move.
+// AnnealContext improves an evaluation order by simulated annealing over
+// adjacent transpositions: a random position i is proposed for swapping
+// with i+1, which preserves topological validity exactly when order[i] is
+// not an operand of order[i+1]. Every candidate is re-simulated, so the
+// search is only practical on small and medium graphs; it exists to
+// tighten the upper bounds that sandwich the lower-bound methods. Returns
+// the best order found and its I/O. Cancellation is checked once per
+// proposed move.
 func AnnealContext(ctx context.Context, g *graph.Graph, start []int, M int, opt AnnealOptions) ([]int, Result, error) {
 	if !g.IsTopological(start) {
-		return nil, Result{}, errors.New("pebble: Anneal start order is not topological")
+		return nil, Result{}, errors.New("pebble: AnnealContext start order is not topological")
 	}
 	iters := opt.Iters
 	if iters <= 0 {

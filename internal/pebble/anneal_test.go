@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestAnnealNeverWorseAndValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order, res, err := Anneal(g, start, M, AnnealOptions{Iters: 300, Seed: rng.Int63(), Policy: Belady})
+		order, res, err := AnnealContext(context.Background(), g, start, M, AnnealOptions{Iters: 300, Seed: rng.Int63(), Policy: Belady})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestAnnealImprovesFFTSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := Anneal(g, start, M, AnnealOptions{Iters: 3000, Seed: 3, Policy: Belady})
+	_, res, err := AnnealContext(context.Background(), g, start, M, AnnealOptions{Iters: 3000, Seed: 3, Policy: Belady})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func TestAnnealImprovesFFTSchedule(t *testing.T) {
 
 func TestAnnealValidation(t *testing.T) {
 	g := gen.Chain(4)
-	if _, _, err := Anneal(g, []int{3, 2, 1, 0}, 2, AnnealOptions{}); err == nil {
+	if _, _, err := AnnealContext(context.Background(), g, []int{3, 2, 1, 0}, 2, AnnealOptions{}); err == nil {
 		t.Error("non-topological start accepted")
 	}
 	// Single-vertex graph: trivial return.
 	g1 := gen.Chain(1)
-	order, res, err := Anneal(g1, []int{0}, 1, AnnealOptions{})
+	order, res, err := AnnealContext(context.Background(), g1, []int{0}, 1, AnnealOptions{})
 	if err != nil || len(order) != 1 || res.Total() != 0 {
 		t.Errorf("trivial graph: %v %v %v", order, res, err)
 	}

@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,12 +66,12 @@ func TestFrontierOrderEmptyGraph(t *testing.T) {
 }
 
 func TestBestOrderIncludesFrontier(t *testing.T) {
-	// BestOrder must consider the frontier heuristic; on the grid it
+	// BestOrderContext must consider the frontier heuristic; on the grid it
 	// should usually be the winner, but at minimum the reported best can
 	// never be worse than the frontier order alone.
 	g := gen.Grid2D(12, 12)
 	M := 6
-	best, _, _, err := BestOrder(g, M, Belady, 0, 1)
+	best, _, _, err := BestOrderContext(context.Background(), g, M, Belady, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +80,6 @@ func TestBestOrderIncludesFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if best.Total() > fr.Total() {
-		t.Errorf("BestOrder %d worse than frontier %d", best.Total(), fr.Total())
+		t.Errorf("BestOrderContext %d worse than frontier %d", best.Total(), fr.Total())
 	}
 }

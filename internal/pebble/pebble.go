@@ -83,6 +83,7 @@ type state struct {
 // to hold some vertex's operands (M must be at least the in-degree of
 // every vertex; the result slot may reuse a dead operand's slot).
 func Simulate(g *graph.Graph, order []int, M int, policy Policy) (Result, error) {
+	//lint:ignore ctx-flow the perfbench module calls Simulate and keeps its API; library callers that hold a ctx call SimulateContext
 	return SimulateContext(context.Background(), g, order, M, policy)
 }
 
@@ -296,16 +297,12 @@ func SimulateNatural(g *graph.Graph, M int, policy Policy) (Result, error) {
 	return Simulate(g, g.TopoOrder(), M, policy)
 }
 
-// BestOrder searches for a low-I/O evaluation order: the deterministic
-// Kahn order, the DFS order, and `samples` random topological orders, all
-// simulated under the given policy. It returns the best result, the order
-// achieving it, and a short label describing which heuristic won.
-func BestOrder(g *graph.Graph, M int, policy Policy, samples int, seed int64) (Result, []int, string, error) {
-	return BestOrderContext(context.Background(), g, M, policy, samples, seed)
-}
-
-// BestOrderContext is BestOrder with cancellation, checked between
-// candidate simulations and threaded into each one.
+// BestOrderContext searches for a low-I/O evaluation order: the
+// deterministic Kahn order, the DFS order, and `samples` random topological
+// orders, all simulated under the given policy. It returns the best result,
+// the order achieving it, and a short label describing which heuristic won.
+// Cancellation is checked between candidate simulations and threaded into
+// each one.
 func BestOrderContext(ctx context.Context, g *graph.Graph, M int, policy Policy, samples int, seed int64) (Result, []int, string, error) {
 	sp := obs.StartSpanCtx(ctx, "pebble.best_order")
 	sp.SetInt("n", int64(g.N()))
@@ -368,17 +365,13 @@ func BestOrderContext(ctx context.Context, g *graph.Graph, M int, policy Policy,
 	return best, bestOrder, bestName, nil
 }
 
-// ExhaustiveBest enumerates every topological order of a small graph (up
-// to maxOrders linear extensions; it fails beyond that) and returns the
-// minimum-I/O result under the given policy. Because the policy is applied
-// greedily this is an upper bound on J*_G — but a very tight one on tiny
-// graphs, which is what the validation tests need.
-func ExhaustiveBest(g *graph.Graph, M int, policy Policy, maxOrders int) (Result, []int, error) {
-	return ExhaustiveBestContext(context.Background(), g, M, policy, maxOrders)
-}
-
-// ExhaustiveBestContext is ExhaustiveBest with cancellation, checked once
-// per completed linear extension.
+// ExhaustiveBestContext enumerates every topological order of a small
+// graph (up to maxOrders linear extensions; it fails beyond that) and
+// returns the minimum-I/O result under the given policy. Because the policy
+// is applied greedily this is an upper bound on J*_G — but a very tight one
+// on tiny graphs, which is what the validation tests need. Cancellation is
+// checked once per completed linear extension and threaded into each
+// simulation.
 func ExhaustiveBestContext(ctx context.Context, g *graph.Graph, M int, policy Policy, maxOrders int) (Result, []int, error) {
 	if maxOrders <= 0 {
 		maxOrders = 100000
@@ -408,7 +401,7 @@ func ExhaustiveBestContext(ctx context.Context, g *graph.Graph, M int, policy Po
 				overflow = true
 				return nil
 			}
-			res, err := Simulate(g, order, M, policy)
+			res, err := SimulateContext(ctx, g, order, M, policy)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package pebble
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestBeladyNoWorseThanLRUOnFFT(t *testing.T) {
 
 func TestBestOrderPicksFeasibleMinimum(t *testing.T) {
 	g := gen.FFT(3)
-	res, order, name, err := BestOrder(g, 4, Belady, 5, 1)
+	res, order, name, err := BestOrderContext(context.Background(), g, 4, Belady, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +150,14 @@ func TestBestOrderPicksFeasibleMinimum(t *testing.T) {
 
 func TestBestOrderInfeasible(t *testing.T) {
 	g := gen.BellmanHeldKarp(3) // max in-degree 3
-	if _, _, _, err := BestOrder(g, 2, LRU, 3, 1); err == nil {
+	if _, _, _, err := BestOrderContext(context.Background(), g, 2, LRU, 3, 1); err == nil {
 		t.Error("M below max in-degree should fail")
 	}
 }
 
 func TestExhaustiveBestTinyGraphs(t *testing.T) {
 	g := gen.InnerProduct(2)
-	best, order, err := ExhaustiveBest(g, 2, Belady, 0)
+	best, order, err := ExhaustiveBestContext(context.Background(), g, 2, Belady, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestExhaustiveBestTinyGraphs(t *testing.T) {
 		t.Error("exhaustive best order invalid")
 	}
 	// Heuristic search can never beat the exhaustive minimum.
-	heur, _, _, err := BestOrder(g, 2, Belady, 20, 1)
+	heur, _, _, err := BestOrderContext(context.Background(), g, 2, Belady, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestExhaustiveBestTinyGraphs(t *testing.T) {
 
 func TestExhaustiveBestOverflow(t *testing.T) {
 	g := gen.ErdosRenyiDAG(12, 0.05, 3) // sparse: many linear extensions
-	if _, _, err := ExhaustiveBest(g, 4, Belady, 10); err == nil {
+	if _, _, err := ExhaustiveBestContext(context.Background(), g, 4, Belady, 10); err == nil {
 		t.Error("order-count cap not enforced")
 	}
 }

@@ -79,16 +79,12 @@ type Options struct {
 	CountTrivial bool
 }
 
-// Optimal computes the exact minimum I/O for evaluating g with fast memory
-// M. Graphs are limited to 20 vertices (the state packs three bitmasks).
-func Optimal(g *graph.Graph, M int, opt Options) (*Result, error) {
-	return OptimalContext(context.Background(), g, M, opt)
-}
-
-// OptimalContext is Optimal with cancellation: the context is checked every
-// few thousand expanded states, and a cancelled or expired context aborts
-// the search with the wrapped ctx error (the exact search has no meaningful
-// partial result — a prefix of a Dijkstra run certifies nothing).
+// OptimalContext computes the exact minimum I/O for evaluating g with fast
+// memory M. Graphs are limited to 20 vertices (the state packs three
+// bitmasks). The context is checked every few thousand expanded states,
+// and a cancelled or expired context aborts the search with the wrapped
+// ctx error (the exact search has no meaningful partial result — a prefix
+// of a Dijkstra run certifies nothing).
 func OptimalContext(ctx context.Context, g *graph.Graph, M int, opt Options) (*Result, error) {
 	n := g.N()
 	if n > 20 {

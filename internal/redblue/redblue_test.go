@@ -1,6 +1,7 @@
 package redblue
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func randomDAG(rng *rand.Rand, n int, p float64) *graph.Graph {
 
 func TestChainIsFree(t *testing.T) {
 	for _, M := range []int{1, 2, 4} {
-		res, err := Optimal(gen.Chain(8), M, Options{})
+		res, err := OptimalContext(context.Background(), gen.Chain(8), M, Options{})
 		if err != nil {
 			t.Fatalf("M=%d: %v", M, err)
 		}
@@ -41,7 +42,7 @@ func TestDiamondExact(t *testing.T) {
 		b.MustEdge(e[0], e[1])
 	}
 	g := b.MustBuild()
-	res, err := Optimal(g, 2, Options{})
+	res, err := OptimalContext(context.Background(), g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,24 +53,24 @@ func TestDiamondExact(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	g := gen.Chain(3)
-	if _, err := Optimal(g, 0, Options{}); err == nil {
+	if _, err := OptimalContext(context.Background(), g, 0, Options{}); err == nil {
 		t.Error("M=0 accepted")
 	}
-	if _, err := Optimal(gen.FFT(2), 1, Options{}); err == nil {
+	if _, err := OptimalContext(context.Background(), gen.FFT(2), 1, Options{}); err == nil {
 		t.Error("in-degree 2 at M=1 accepted")
 	}
-	if _, err := Optimal(gen.BellmanHeldKarp(5), 8, Options{}); err == nil {
+	if _, err := OptimalContext(context.Background(), gen.BellmanHeldKarp(5), 8, Options{}); err == nil {
 		t.Error("32-vertex graph should exceed the 20-vertex limit")
 	}
 	empty := graph.NewBuilder(0, 0).MustBuild()
-	if res, err := Optimal(empty, 1, Options{}); err != nil || res.IO != 0 {
+	if res, err := OptimalContext(context.Background(), empty, 1, Options{}); err != nil || res.IO != 0 {
 		t.Errorf("empty graph: %v, %v", res, err)
 	}
 }
 
 func TestStateCapAborts(t *testing.T) {
 	g := gen.FFT(2) // 12 vertices
-	if _, err := Optimal(g, 2, Options{MaxStates: 10}); err == nil {
+	if _, err := OptimalContext(context.Background(), g, 2, Options{MaxStates: 10}); err == nil {
 		t.Error("state cap not enforced")
 	}
 }
@@ -85,11 +86,11 @@ func TestOptimalAtMostSimulated(t *testing.T) {
 		if M < 2 {
 			M = 2
 		}
-		exact, err := Optimal(g, M, Options{})
+		exact, err := OptimalContext(context.Background(), g, M, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		sim, _, err := pebble.ExhaustiveBest(g, M, pebble.Belady, 50000)
+		sim, _, err := pebble.ExhaustiveBestContext(context.Background(), g, M, pebble.Belady, 50000)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -102,7 +103,7 @@ func TestOptimalAtMostSimulated(t *testing.T) {
 func TestFFT2Exact(t *testing.T) {
 	// 4-point FFT (12 vertices) at M=2: non-trivial I/O is forced.
 	g := gen.FFT(2)
-	exact, err := Optimal(g, 2, Options{})
+	exact, err := OptimalContext(context.Background(), g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestFFT2Exact(t *testing.T) {
 		t.Errorf("FFT(2) at M=2 should need I/O, got %d", exact.IO)
 	}
 	// More memory can only help.
-	exact4, err := Optimal(g, 4, Options{})
+	exact4, err := OptimalContext(context.Background(), g, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestInDegreeEqualsMFeasible(t *testing.T) {
 	b.MustEdge(0, 2)
 	b.MustEdge(1, 2)
 	g := b.MustBuild()
-	res, err := Optimal(g, 2, Options{})
+	res, err := OptimalContext(context.Background(), g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package redblue
 
 import (
+	"context"
 	"testing"
 
 	"graphio/internal/gen"
@@ -11,7 +12,7 @@ func TestTrivialChainKnownValue(t *testing.T) {
 	// Chain of 2 under Hong-Kung accounting: one read of the input, one
 	// write of the output — exactly 2 I/Os at any M ≥ 1.
 	g := gen.Chain(2)
-	res, err := Optimal(g, 1, Options{CountTrivial: true})
+	res, err := OptimalContext(context.Background(), g, 1, Options{CountTrivial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestTrivialChainKnownValue(t *testing.T) {
 	}
 	// Chain of k: still one input read and one output write — the
 	// intermediate values never leave fast memory.
-	res, err = Optimal(gen.Chain(6), 2, Options{CountTrivial: true})
+	res, err = OptimalContext(context.Background(), gen.Chain(6), 2, Options{CountTrivial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +35,11 @@ func TestTrivialInnerProductKnownValue(t *testing.T) {
 	// are unavoidable; with only 2 slots the partial products force extra
 	// traffic. Total must be ≥ 5 and ≥ the non-trivial optimum + 5.
 	g := gen.InnerProduct(2)
-	total, err := Optimal(g, 2, Options{CountTrivial: true})
+	total, err := OptimalContext(context.Background(), g, 2, Options{CountTrivial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nontrivial, err := Optimal(g, 2, Options{})
+	nontrivial, err := OptimalContext(context.Background(), g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestTrivialDominatesNontrivialProperty(t *testing.T) {
 			if g.MaxInDeg() > M {
 				continue
 			}
-			tot, err := Optimal(g, M, Options{CountTrivial: true})
+			tot, err := OptimalContext(context.Background(), g, M, Options{CountTrivial: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			nt, err := Optimal(g, M, Options{})
+			nt, err := OptimalContext(context.Background(), g, M, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
